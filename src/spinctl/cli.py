@@ -12,6 +12,9 @@ Subcommands::
 SPINCTL_OUT overrides the output directory.  Outputs are deterministic for a
 fixed config and seed: CSV bodies are byte-identical across runs, and only
 the JSON report header carries wall-clock information.
+
+Exit status: 0 ok, 1 config error, 2 solver failure (including any failed
+sweep point, each named on stderr).
 """
 
 from __future__ import annotations
@@ -35,11 +38,12 @@ from .magnus import TimeGrid, random_smooth_path, solve_m_ode, time_ordered_exp
 from .noise import DiagonalConstant, NoiseKernel, OneOverF
 from .optimizer import (
     OptimizationProblem,
+    evaluate_deviation,
     refine_deviation,
     solve,
     sweep_lambda,
 )
-from .quat import qexp
+from .quat import PureQuat, qexp
 
 __all__ = ["RunConfig", "RunReport", "validate_config", "run", "main"]
 
@@ -367,7 +371,7 @@ def _run_magnus_check(config: RunConfig, out: Path):
         path = random_smooth_path(grid, rng)
         for eps in config.epsilon:
             m = solve_m_ode(path, eps)
-            ex = qexp(_half_scale(m.values[-1], eps))
+            ex = qexp(PureQuat.from_array(0.5 * eps * m.values[-1]))
             oracle = time_ordered_exp(path, eps)
             mismatch = math.sqrt(sum((a - b) ** 2 for a, b in zip(ex.wxyz(), oracle.wxyz())))
             rows.append([p, eps, grid.n_steps, mismatch])
@@ -377,18 +381,10 @@ def _run_magnus_check(config: RunConfig, out: Path):
     return report_rows, {"worst_mismatch": worst}
 
 
-def _half_scale(vec, eps):
-    from .quat import PureQuat
-
-    return PureQuat(0.5 * eps * vec[0], 0.5 * eps * vec[1], 0.5 * eps * vec[2])
-
-
 def _run_mc_validate(config: RunConfig, out: Path):
     problem = _problem(config, config.lambda_inv)
     lam = config.lambda_inv[-1]
     if lam == 0.0:
-        from .optimizer import evaluate_deviation
-
         sol = evaluate_deviation(problem, np.zeros((problem.grid.n_nodes, 3)))
     else:
         sol = solve(OptimizationProblem(
@@ -606,8 +602,12 @@ def main(argv: list[str] | None = None) -> int:
     except SpinctlError as exc:
         print(f"solver failure in stage '{config.kind}': {exc}", file=sys.stderr)
         return 2
-    print(f"{config.kind}: wrote {len(report.rows)} row(s) in {report.wall_clock_s:.2f}s")
-    return 0
+    failed = [row for row in report.rows if "error" in row]
+    for row in failed:
+        print(f"solver failure at lambda_inv={row['lambda_inv']:g}: {row['error']}", file=sys.stderr)
+    written = len(report.rows) - len(failed)
+    print(f"{config.kind}: wrote {written} row(s) in {report.wall_clock_s:.2f}s")
+    return 2 if failed else 0
 
 
 if __name__ == "__main__":

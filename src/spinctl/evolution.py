@@ -21,13 +21,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AxisRequired
-from .magnus import PurePath, TimeGrid, _cumtrapz
+from .magnus import PurePath, TimeGrid, _central_diff, _cumtrapz
 from .quat import (
     PureQuat,
     UnitQuat,
     qexp,
     qexp_vec,
-    qmul_wxyz,
+    qconj_wxyz,
+    qprefix,
     quat_to_matrix,
     rotate,
     qconj,
@@ -134,23 +135,17 @@ def propagate_triad(omega_rot: PurePath, grid: TimeGrid | None = None) -> TriadP
 
     Starts from the static triad E_i(0) = e_i and composes one incremental
     unit quaternion per step, u_{k+1} = u_k exp(-(dt/2) omega(t*)), with
-    midpoint field values and per-step renormalization, so orthonormality
-    holds to rounding over arbitrarily many steps.
+    midpoint field values.  The right-multiplied chain is the conjugate of
+    the left-multiplied prefix of conj(s_j) = exp(+(dt/2) omega(t*)), taken
+    by ``qprefix`` and renormalized, so orthonormality holds to rounding
+    over arbitrarily many steps.
     """
     if grid is None:
         grid = omega_rot.grid
     elif grid != omega_rot.grid:
         raise ValueError("grid disagrees with the control path's grid")
     v = omega_rot.values
-    dt = grid.dt
-    steps = qexp_vec(-0.25 * dt * (v[:-1] + v[1:]))
-    us = np.empty((grid.n_nodes, 4))
-    us[0] = (1.0, 0.0, 0.0, 0.0)
-    cur = us[0]
-    for k in range(steps.shape[0]):
-        cur = qmul_wxyz(cur, steps[k])
-        cur = cur / math.sqrt(float(np.dot(cur, cur)))
-        us[k + 1] = cur
+    us = qconj_wxyz(qprefix(qexp_vec(0.25 * grid.dt * (v[:-1] + v[1:]))))
     # Row i of the triad matrix is E_i = u e_i conj(u), i.e. R(u) transposed.
     mats = np.swapaxes(quat_to_matrix(us), 1, 2)
     return TriadPath(grid, mats, u_wxyz=us)
@@ -164,11 +159,7 @@ def omega_from_triad(triad: TriadPath) -> ControlPath:
     Omega = omega^i E_i.
     """
     v = triad.values
-    dt = triad.grid.dt
-    dv = np.empty_like(v)
-    dv[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
-    dv[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dt)
-    dv[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dt)
+    dv = _central_diff(v, triad.grid.dt)
     a = np.einsum("kjc,klc->kjl", v, dv)  # A_jl = E_j . dE_l
     lab = 0.5 * np.stack(
         [a[:, 1, 2] - a[:, 2, 1], a[:, 2, 0] - a[:, 0, 2], a[:, 0, 1] - a[:, 1, 0]],
@@ -176,15 +167,6 @@ def omega_from_triad(triad: TriadPath) -> ControlPath:
     )
     rot = np.einsum("ki,kic->kc", lab, v)
     return ControlPath(triad.grid, PurePath(triad.grid, rot), PurePath(triad.grid, lab))
-
-
-def _triad_rate(values: np.ndarray, dt: float) -> np.ndarray:
-    """Second-order time derivative of triad rows (one-sided at the ends)."""
-    dv = np.empty_like(values)
-    dv[1:-1] = (values[2:] - values[:-2]) / (2.0 * dt)
-    dv[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dt)
-    dv[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dt)
-    return dv
 
 
 def _power_wedge(values: np.ndarray, rates: np.ndarray) -> np.ndarray:
@@ -218,7 +200,7 @@ def power(obj: TriadPath | ControlPath) -> PowerPath:
         vals = np.sum(obj.omega_rot.values**2, axis=1)
         grid = obj.grid
     else:
-        vals = _power_wedge(obj.values, _triad_rate(obj.values, obj.grid.dt))
+        vals = _power_wedge(obj.values, _central_diff(obj.values, obj.grid.dt))
         grid = obj.grid
     e_out = float(_cumtrapz(0.5 * vals, grid.dt)[-1])
     return PowerPath(grid, vals, e_out)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateSample, DomainError
 from .evolution import ControlPath, TriadPath
-from .magnus import ordered_exp_batch
+from .magnus import _trapezoid_weights, ordered_exp_batch
 from .noise import NoiseKernel, assemble_covariance, sample_block
 
 __all__ = [
@@ -75,12 +75,6 @@ class FidelityEstimate:
             raise ValueError("standard errors must be >= 0")
 
 
-def _weights(n_nodes: int, dt: float) -> np.ndarray:
-    w = np.full(n_nodes, dt)
-    w[0] = w[-1] = 0.5 * dt
-    return w
-
-
 def action_S(triad: TriadPath, kernel: NoiseKernel) -> float:
     """Quadratic noise functional of a triad trajectory.
 
@@ -90,7 +84,7 @@ def action_S(triad: TriadPath, kernel: NoiseKernel) -> float:
     """
     grid = triad.grid
     n = grid.n_nodes
-    w = _weights(n, grid.dt)
+    w = _trapezoid_weights(n, grid.dt)
     lags = grid.dt * np.arange(n)
     prof = kernel.matrix_batch(lags)  # (n, 3, 3)
     idx = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))

@@ -4,8 +4,9 @@ Given a pure-quaternion field n(t) sampled on a uniform grid, the ordered
 product T exp((eps/2) int n dt) equals exp((eps/2) m(tau)) for a single
 rotation vector m(t).  This module provides:
 
-* ``time_ordered_exp`` -- the brute-force ordered midpoint product (the
-  oracle everything else is checked against),
+* ``time_ordered_exp`` -- the ordered midpoint product, computed by tree
+  reduction (still the oracle discretization everything else is checked
+  against),
 * ``solve_m_ode``      -- the exact first-order ODE for m(t), an all-orders
   resummation of the perturbative (Magnus-type) series,
 * ``magnus_term``      -- individual perturbative orders 0..2,
@@ -19,12 +20,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NonConvergence, SingularCot, UnsupportedOrder
-from .quat import PureQuat, UnitQuat, qexp_vec
+from .quat import PureQuat, UnitQuat, qexp_vec, qproduct
 
 __all__ = [
     "TimeGrid",
@@ -96,20 +97,9 @@ class PurePath:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @staticmethod
-    def from_function(grid: TimeGrid, fn: Callable[[float], tuple]) -> "PurePath":
-        vals = np.array([fn(t) for t in grid.nodes], dtype=float)
-        return PurePath(grid, vals)
-
     def at(self, k: int) -> PureQuat:
         x, y, z = self.values[k]
         return PureQuat(float(x), float(y), float(z))
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.sqrt(np.sum(self.values**2, axis=1))))
-
-    def with_values(self, values: np.ndarray) -> "PurePath":
-        return PurePath(self.grid, values)
 
 
 @dataclass(frozen=True)
@@ -139,26 +129,12 @@ def time_ordered_exp(n: PurePath, epsilon) -> UnitQuat:
     """Ordered product of per-step factors exp((eps/2) n(t*) dt), later steps left.
 
     Midpoint sampling t* = (t_k + t_{k+1})/2 with the field linearly
-    interpolated between nodes; converges at second order in dt.
+    interpolated between nodes; converges at second order in dt.  This is
+    the oracle discretization, evaluated by tree reduction (``qproduct``).
     """
-    eps = _as_eps(epsilon)
     v = n.values
-    dt = n.grid.dt
-    steps = qexp_vec(0.25 * eps * dt * (v[:-1] + v[1:])).tolist()
-    w, x, y, z = 1.0, 0.0, 0.0, 0.0
-    k = 0
-    for bw, bx, by, bz in steps:
-        w, x, y, z = (
-            bw * w - bx * x - by * y - bz * z,
-            bw * x + bx * w + by * z - bz * y,
-            bw * y + by * w + bz * x - bx * z,
-            bw * z + bz * w + bx * y - by * x,
-        )
-        k += 1
-        if not k % 512:
-            s = 1.0 / math.sqrt(w * w + x * x + y * y + z * z)
-            w, x, y, z = w * s, x * s, y * s, z * s
-    return UnitQuat.normalized(w, x, y, z)
+    steps = qexp_vec(0.25 * _as_eps(epsilon) * n.grid.dt * (v[:-1] + v[1:]))
+    return UnitQuat.normalized(*(float(c) for c in qproduct(steps)))
 
 
 def ordered_exp_batch(values: np.ndarray, epsilon, dt: float) -> np.ndarray:
@@ -168,26 +144,7 @@ def ordered_exp_batch(values: np.ndarray, epsilon, dt: float) -> np.ndarray:
     shape (batch, 4).  Same discretization as ``time_ordered_exp``.
     """
     eps = _as_eps(epsilon)
-    steps = qexp_vec(0.25 * eps * dt * (values[:, :-1, :] + values[:, 1:, :]))
-    acc = np.zeros(values.shape[:1] + (4,))
-    acc[:, 0] = 1.0
-    for k in range(steps.shape[1]):
-        b = steps[:, k, :]
-        bw, bx, by, bz = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
-        aw, ax, ay, az = acc[:, 0], acc[:, 1], acc[:, 2], acc[:, 3]
-        acc = np.stack(
-            [
-                bw * aw - bx * ax - by * ay - bz * az,
-                bw * ax + bx * aw + by * az - bz * ay,
-                bw * ay + by * aw + bz * ax - bx * az,
-                bw * az + bz * aw + bx * ay - by * ax,
-            ],
-            axis=1,
-        )
-        if k % 512 == 511:
-            acc /= np.sqrt(np.sum(acc * acc, axis=1))[:, None]
-    acc /= np.sqrt(np.sum(acc * acc, axis=1))[:, None]
-    return acc
+    return qproduct(qexp_vec(0.25 * eps * dt * (values[:, :-1, :] + values[:, 1:, :])))
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +309,13 @@ def _cumtrapz(y: np.ndarray, dt: float) -> np.ndarray:
     out = np.zeros_like(y)
     np.cumsum(0.5 * dt * (y[1:] + y[:-1]), axis=0, out=out[1:])
     return out
+
+
+def _trapezoid_weights(n_nodes: int, dt: float) -> np.ndarray:
+    """Trapezoid quadrature weights on a uniform grid of ``n_nodes`` nodes."""
+    w = np.full(n_nodes, dt)
+    w[0] = w[-1] = 0.5 * dt
+    return w
 
 
 def magnus_term(n: PurePath, order: int) -> PurePath:

@@ -29,9 +29,9 @@ from scipy.optimize import minimize
 
 from .errors import BCUnreachable, NoDescent
 from .evolution import ControlPath, TargetRotation, TriadPath, drift_for_target
-from .magnus import PurePath, TimeGrid
+from .magnus import PurePath, TimeGrid, _central_diff, _trapezoid_weights
 from .noise import NoiseKernel, OneOverF
-from .quat import qexp_vec, qmul_wxyz, quat_to_matrix
+from .quat import qexp_vec, qprefix, quat_to_matrix
 
 __all__ = [
     "Tolerances",
@@ -148,12 +148,6 @@ class SweepResult:
         return [p.solution for p in self.points if p.solution is not None]
 
 
-def _trapezoid_weights(n_nodes: int, dt: float) -> np.ndarray:
-    w = np.full(n_nodes, dt)
-    w[0] = w[-1] = 0.5 * dt
-    return w
-
-
 def _kernel_blocks(kernel: NoiseKernel, grid: TimeGrid) -> list[list[np.ndarray | None]]:
     """Toeplitz lag matrices K_ij[a, b] = N_ij(|t_a - t_b|); None for zero blocks."""
     n = grid.n_nodes
@@ -180,6 +174,17 @@ def dual_triad(triad: TriadPath, kernel: NoiseKernel) -> DualTriad:
             if kij is not None:
                 out[:, i, :] += kij @ (w[:, None] * triad.values[:, j, :])
     return DualTriad(grid, out)
+
+
+def _resample_cells(cells: np.ndarray, grid: TimeGrid, t_dst: np.ndarray) -> np.ndarray:
+    """Cubic-spline resampling of cell values from a grid's cell centers to times ``t_dst``."""
+    tsrc = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
+    return CubicSpline(tsrc, cells, axis=0)(t_dst)
+
+
+def _rotations(cells: np.ndarray, dt: float) -> np.ndarray:
+    """Rotation matrices R_k of the chain v_{k+1} = exp(-(dt/2) c_k) v_k, v_0 = 1."""
+    return quat_to_matrix(qprefix(qexp_vec(-0.5 * dt * cells)))
 
 
 # Certificate resolution multiplier: the force balance is checked on a grid
@@ -241,30 +246,17 @@ class _Certificate:
                 self.kw_blocks_c.append(row)
 
     def residual_from_coarse(self, coarse_grid: TimeGrid, cells: np.ndarray, lam_inv: float) -> float:
-        tsrc = 0.5 * (coarse_grid.nodes[:-1] + coarse_grid.nodes[1:])
-        fine = CubicSpline(tsrc, cells, axis=0)(self.centers)
-        return self.residual(fine, lam_inv)
+        return self.residual(_resample_cells(cells, coarse_grid, self.centers), lam_inv)
 
     def residual(self, cells: np.ndarray, lam_inv: float) -> float:
         dt = self.dt
         omega_star = np.einsum("kab,kb->ka", self.amats_c, self.drift[None, :] + cells)
-        dom = np.empty_like(omega_star)
-        dom[1:-1] = (omega_star[2:] - omega_star[:-2]) / (2.0 * dt)
-        dom[0] = (-3.0 * omega_star[0] + 4.0 * omega_star[1] - omega_star[2]) / (2.0 * dt)
-        dom[-1] = (3.0 * omega_star[-1] - 4.0 * omega_star[-2] + omega_star[-3]) / (2.0 * dt)
+        dom = _central_diff(omega_star, dt)
         drift_norm = float(np.linalg.norm(self.drift))
         if lam_inv == 0.0:
             return float(np.max(np.linalg.norm(dom, axis=1))) * self.problem.tau / max(drift_norm, 1e-300)
 
-        steps = qexp_vec(-0.5 * dt * cells)
-        vs = np.empty((self.n_steps + 1, 4))
-        vs[0] = (1.0, 0.0, 0.0, 0.0)
-        cur = vs[0]
-        for k in range(self.n_steps):
-            cur = qmul_wxyz(steps[k], cur)
-            cur = cur / math.sqrt(float(np.dot(cur, cur)))
-            vs[k + 1] = cur
-        rmats = quat_to_matrix(vs)
+        rmats = _rotations(cells, dt)
         rstars = quat_to_matrix(qexp_vec(-0.25 * dt * cells)) @ rmats[:-1]
         lstars = self.amats_c @ rstars
         lam = 1.0 / lam_inv
@@ -384,20 +376,6 @@ class _Workspace:
             )
         return self._certificate.residual_from_coarse(self.problem.grid, cells, lam_inv)
 
-    # -- forward chain -----------------------------------------------------
-
-    def _chain(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Unit-quaternion chain v_k and rotation matrices R_k from cell deviations."""
-        steps = qexp_vec(-0.5 * self.dt * cells)
-        vs = np.empty((self.n, 4))
-        vs[0] = (1.0, 0.0, 0.0, 0.0)
-        cur = vs[0]
-        for k in range(self.n - 1):
-            cur = qmul_wxyz(steps[k], cur)
-            cur = cur / math.sqrt(float(np.dot(cur, cur)))
-            vs[k + 1] = cur
-        return vs, quat_to_matrix(vs)
-
     def _action_core(self, lmats: np.ndarray, kw, kw_blocks) -> tuple[float, np.ndarray]:
         """Action quadrature on lab matrices plus its body-frame torque per sample."""
         if self.axis is not None:
@@ -453,7 +431,7 @@ class _Workspace:
         force balance.
         """
         cells = xflat.reshape(self.n - 1, 3)
-        vs, rmats = self._chain(cells)
+        rmats = _rotations(cells, self.dt)
         phi = -self.dt * cells
         half_steps = quat_to_matrix(qexp_vec(-0.25 * self.dt * cells))  # Rot(phi/2)
         rstars = half_steps @ rmats[:-1]
@@ -498,7 +476,7 @@ class _Workspace:
         grid = problem.grid
         cells = self.coerce_cells(x)
         x_nodes = self.nodes_from_cells(cells)
-        vs, rmats = self._chain(cells)
+        rmats = _rotations(cells, self.dt)
         lmats = self.amats @ rmats
         lab_triad = TriadPath(grid, np.swapaxes(lmats, 1, 2))
 
@@ -549,10 +527,8 @@ def refine_deviation(problem: OptimizationProblem, x: np.ndarray, n_steps: int) 
     fine_problem = replace(problem, grid=fine_grid)
     coarse = _Workspace(problem)
     cells = coarse.coerce_cells(x)
-    tsrc = 0.5 * (problem.grid.nodes[:-1] + problem.grid.nodes[1:])
     tdst = 0.5 * (fine_grid.nodes[:-1] + fine_grid.nodes[1:])
-    xf = CubicSpline(tsrc, cells, axis=0)(tdst)
-    return evaluate_deviation(fine_problem, xf)
+    return evaluate_deviation(fine_problem, _resample_cells(cells, problem.grid, tdst))
 
 
 def _minimize_round(ws, x, lam_inv, mu, y, step_tol):
@@ -615,7 +591,7 @@ def _solve_in_workspace(ws: _Workspace, lam_inv: float, warm_start=None) -> Cont
             break
         best_bc = min(best_bc, sol.bc_error)
         best_el = min(best_el, sol.el_residual)
-        r_end = ws._chain(x)[1][-1]
+        r_end = _rotations(x, ws.dt)[-1]
         y = y + mu * _vee(r_end)
     message = res.message
     if bc_open:

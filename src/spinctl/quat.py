@@ -4,6 +4,9 @@ Scalar types (`Quat`, `PureQuat`, `UnitQuat`) are immutable and validated on
 construction.  The module also exposes vectorized helpers operating on numpy
 arrays of shape (..., 4) in (w, x, y, z) order, or (..., 3) for pure
 quaternions; these power the batched inner loops elsewhere in the package.
+Ordered products of step quaternions along axis -2 exist once, here:
+`qprefix` returns every prefix (Hillis-Steele doubling, log2(n) vectorized
+passes) and `qproduct` only the total (pairwise tree reduction).
 
 Conventions: the basis satisfies e_i e_j = -delta_ij + eps_ijk e_k, a unit
 quaternion u rotates a pure quaternion p via u p conj(u), and composing
@@ -38,6 +41,8 @@ __all__ = [
     "qmul_wxyz",
     "qconj_wxyz",
     "qexp_vec",
+    "qprefix",
+    "qproduct",
     "rotate_vec",
     "quat_to_matrix",
 ]
@@ -288,6 +293,45 @@ def qexp_vec(v: np.ndarray) -> np.ndarray:
         s = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(theta) / np.where(theta == 0.0, 1.0, theta))
     w = np.cos(theta)
     return np.concatenate([w[..., None], s[..., None] * v], axis=-1)
+
+
+def _normalize_wxyz(a: np.ndarray) -> np.ndarray:
+    return a / np.sqrt(np.sum(a * a, axis=-1, keepdims=True))
+
+
+def qprefix(steps: np.ndarray) -> np.ndarray:
+    """Ordered prefix products of (..., n, 4) step quaternions along axis -2.
+
+    Returns (..., n + 1, 4): row 0 is the identity and row k is
+    s_{k-1} ... s_1 s_0 (later factors on the left).  Products are
+    associative, so Hillis-Steele doubling needs ceil(log2 n) vectorized
+    passes; the result is renormalized once at the end.
+    """
+    acc = np.array(steps, dtype=float)
+    n = acc.shape[-2]
+    shift = 1
+    while shift < n:
+        acc[..., shift:, :] = qmul_wxyz(acc[..., shift:, :], acc[..., :-shift, :])
+        shift *= 2
+    ident = np.zeros(acc.shape[:-2] + (1, 4))
+    ident[..., 0] = 1.0
+    return np.concatenate([ident, _normalize_wxyz(acc)], axis=-2)
+
+
+def qproduct(steps: np.ndarray) -> np.ndarray:
+    """Ordered total s_{n-1} ... s_1 s_0 of (..., n, 4) step quaternions.
+
+    Pairwise tree reduction along axis -2 (later factors on the left), so
+    the working set halves every pass; renormalized once at the end.
+    Needs n >= 1; returns (..., 4).
+    """
+    acc = np.asarray(steps, dtype=float)
+    while acc.shape[-2] > 1:
+        pairs = qmul_wxyz(acc[..., 1::2, :], acc[..., 0:-1:2, :])
+        if acc.shape[-2] % 2:
+            pairs = np.concatenate([pairs, acc[..., -1:, :]], axis=-2)
+        acc = pairs
+    return _normalize_wxyz(acc[..., 0, :])
 
 
 def rotate_vec(u: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -198,6 +198,24 @@ class TestMainEntry:
     def test_missing_file(self, capsys):
         assert main(["solve", "/nonexistent/cfg.json"]) == 1
 
+    def test_failed_sweep_point_is_loud(self, tmp_path, monkeypatch, capsys):
+        # At n = 64 the lambda_inv = 50 optimum cannot certify (el ~ 8e-3 > 1e-4).
+        monkeypatch.setenv("SPINCTL_OUT", str(tmp_path / "out"))
+        path = write_config(
+            tmp_path,
+            {
+                "kind": "sweep", "tau": 1.0, "kernel": PAPER_KERNEL, "target": PAPER_TARGET,
+                "lambda_inv": [0.0, 50.0], "epsilon": [0.1], "two_s": [1],
+                "grid_steps": 64, "refine_steps": 0,
+            },
+        )
+        assert main(["sweep", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "lambda_inv=50" in captured.err
+        assert "wrote 1 row(s)" in captured.out
+        lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 1 + 1
+
     def test_grid_override(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SPINCTL_OUT", str(tmp_path / "out"))
         path = write_config(

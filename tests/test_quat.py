@@ -22,6 +22,8 @@ from spinctl.quat import (
     umul,
     qmul_wxyz,
     qexp_vec,
+    qprefix,
+    qproduct,
     rotate_vec,
     quat_to_matrix,
 )
@@ -256,3 +258,34 @@ class TestArrayHelpers:
         for k in range(10):
             u = qexp(PureQuat(*vecs[k]))
             np.testing.assert_allclose(units[k], quat_tuple(u), atol=1e-14)
+
+
+def left_fold(steps):
+    """Every prefix s_{k-1} ... s_0 by the scalar, per-step-renormalized umul."""
+    acc = UnitQuat(1.0, 0.0, 0.0, 0.0)
+    out = [quat_tuple(acc)]
+    for row in steps:
+        acc = umul(UnitQuat(*row), acc)
+        out.append(quat_tuple(acc))
+    return np.array(out)
+
+
+class TestOrderedProducts:
+    """qprefix/qproduct against an independent scalar fold of umul."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 512, 513])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_match_scalar_fold(self, n, batch):
+        rng = np.random.default_rng(n)
+        steps = qexp_vec(rng.normal(scale=0.5, size=batch + (n, 3)))
+        flat = steps.reshape(-1, n, 4)
+        expect = np.stack([left_fold(s) for s in flat]).reshape(batch + (n + 1, 4))
+
+        prefix = qprefix(steps)
+        total = qproduct(steps)
+        assert prefix.shape == batch + (n + 1, 4)
+        assert total.shape == batch + (4,)
+        np.testing.assert_allclose(prefix, expect, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(total, expect[..., -1, :], rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(np.linalg.norm(prefix, axis=-1), 1.0, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(np.linalg.norm(total, axis=-1), 1.0, rtol=0.0, atol=1e-14)
