@@ -4,7 +4,7 @@ Submodules
 ----------
 quat        quaternion algebra (scalar types + batched array helpers)
 magnus      ordered exponentials and their exact rotation-vector resummation
-noise       stationary covariance kernels (1/f flagship) and path sampling
+noise       stationary covariance kernels (1/f flagship), their lag convolution, path sampling
 evolution   rotating-triad kinematics, control recovery, targets, drift
 fidelity    closed-form fidelity for arbitrary spin + Monte Carlo estimator
 optimizer   constrained variational solver and lambda_inv continuation

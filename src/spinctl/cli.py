@@ -356,9 +356,7 @@ def _problem(config: RunConfig, lam_values: tuple[float, ...]) -> OptimizationPr
 
 def _run_kernel_table(config: RunConfig, out: Path):
     svals = np.linspace(0.0, config.tau, config.table_points)
-    kernel = config.kernel
-    rows = [[s, kernel.matrix(float(s))[0, 0] if not isinstance(kernel, OneOverF) else kernel.scalar(float(s))]
-            for s in svals]
+    rows = [[s, nxx] for s, nxx in zip(svals, config.kernel.matrix_batch(svals)[:, 0, 0])]
     _write_csv(out / "kernel.csv", ["s", "N_xx"], rows)
     return [{"s": r[0], "N_xx": r[1]} for r in rows], {}
 

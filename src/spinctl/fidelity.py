@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import DegenerateSample, DomainError
 from .evolution import ControlPath, TriadPath
-from .magnus import _trapezoid_weights, ordered_exp_batch
-from .noise import NoiseKernel, assemble_covariance, sample_block
+from .magnus import ordered_exp_batch
+from .noise import LagConvolution, NoiseKernel, assemble_covariance, sample_block
 
 __all__ = [
     "SpinNumber",
@@ -79,26 +79,12 @@ def action_S(triad: TriadPath, kernel: NoiseKernel) -> float:
     """Quadratic noise functional of a triad trajectory.
 
     S = (1/2) int int N_ij(t, t') E_i(t) . E_j(t') dt dt' by the
-    two-dimensional trapezoid rule on the triad's grid.  Nonnegative for
+    two-dimensional trapezoid rule on the triad's grid, applied as a lag
+    convolution (``noise.LagConvolution``).  Nonnegative for
     positive-semidefinite kernels.
     """
-    grid = triad.grid
-    n = grid.n_nodes
-    w = _trapezoid_weights(n, grid.dt)
-    lags = grid.dt * np.arange(n)
-    prof = kernel.matrix_batch(lags)  # (n, 3, 3)
-    idx = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    total = 0.0
-    for i in range(3):
-        ei = triad.values[:, i, :]
-        for j in range(3):
-            kij = prof[:, i, j]
-            if np.all(kij == 0.0):
-                continue
-            kmat = kij[idx] * np.outer(w, w)
-            gram = ei @ triad.values[:, j, :].T
-            total += float(np.sum(kmat * gram))
-    return 0.5 * total
+    lmats = np.swapaxes(triad.values, 1, 2)
+    return LagConvolution.nodes(kernel, triad.grid).action(lmats)[0]
 
 
 def fidelity_weak(spin: SpinNumber, epsilon, S: float) -> float:

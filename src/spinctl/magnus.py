@@ -30,7 +30,6 @@ from .quat import PureQuat, UnitQuat, qexp_vec, qproduct
 __all__ = [
     "TimeGrid",
     "PurePath",
-    "EpsilonStrength",
     "time_ordered_exp",
     "solve_m_ode",
     "n_of_m",
@@ -102,24 +101,6 @@ class PurePath:
         return PureQuat(float(x), float(y), float(z))
 
 
-@dataclass(frozen=True)
-class EpsilonStrength:
-    """Dimensionless strength of the stochastic field."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
-
-    def __float__(self) -> float:
-        return self.epsilon
-
-
-def _as_eps(epsilon) -> float:
-    return float(epsilon)
-
-
 # ---------------------------------------------------------------------------
 # Ordered exponential (oracle)
 # ---------------------------------------------------------------------------
@@ -133,7 +114,7 @@ def time_ordered_exp(n: PurePath, epsilon) -> UnitQuat:
     the oracle discretization, evaluated by tree reduction (``qproduct``).
     """
     v = n.values
-    steps = qexp_vec(0.25 * _as_eps(epsilon) * n.grid.dt * (v[:-1] + v[1:]))
+    steps = qexp_vec(0.25 * float(epsilon) * n.grid.dt * (v[:-1] + v[1:]))
     return UnitQuat.normalized(*(float(c) for c in qproduct(steps)))
 
 
@@ -143,7 +124,7 @@ def ordered_exp_batch(values: np.ndarray, epsilon, dt: float) -> np.ndarray:
     ``values`` has shape (batch, n_nodes, 3); returns unit quaternions of
     shape (batch, 4).  Same discretization as ``time_ordered_exp``.
     """
-    eps = _as_eps(epsilon)
+    eps = float(epsilon)
     return qproduct(qexp_vec(0.25 * eps * dt * (values[:, :-1, :] + values[:, 1:, :])))
 
 
@@ -211,7 +192,7 @@ def solve_m_ode(n: PurePath, epsilon) -> PurePath:
         right-hand side has a cotangent pole and exp((eps/2) m) = -1 makes
         the continuation ambiguous.
     """
-    eps = _as_eps(epsilon)
+    eps = float(epsilon)
     v = n.values
     dt = n.grid.dt
     nodes = n.grid.nodes
@@ -275,7 +256,7 @@ def n_of_m(m: PurePath, epsilon) -> PurePath:
     implemented in a form that stays smooth as |m| -> 0 (where it reduces to
     n = dm/dt, which is also the eps -> 0 limit).
     """
-    eps = _as_eps(epsilon)
+    eps = float(epsilon)
     v = m.values
     dm = _central_diff(v, m.grid.dt)
     m2 = np.sum(v * v, axis=1)
@@ -367,7 +348,7 @@ def magnus_iterate(n: PurePath, epsilon, iterations: int) -> MagnusIterateResult
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    eps = _as_eps(epsilon)
+    eps = float(epsilon)
     v = n.values
     dt = n.grid.dt
     eps2 = eps * eps

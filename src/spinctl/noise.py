@@ -1,9 +1,14 @@
-"""Stationary noise covariance kernels and Gaussian path sampling.
+"""Stationary noise covariance kernels, their lag convolution, and Gaussian path sampling.
 
 The flagship kernel is the 1/f family: a log-uniform ensemble of exponential
 decays between a lower and an upper rate cutoff, giving a correlator
 proportional to E1(gamma_lo s) - E1(gamma_hi s) in the time domain and a
-1/frequency spectrum between the cutoffs.  Covariances are assembled on a
+1/frequency spectrum between the cutoffs.  Every kernel reports its
+structure as R fixed-axis scalar terms, N(s) = sum_r f_r(s) a_r a_r^T
+(``axes``, ``lag_profiles``, ``lag_slopes_at_zero``).  ``LagConvolution``
+applies those terms on a uniform grid by FFT with precomputed circulant
+spectra; it is the one quadrature of the action, the dual triad, the solver
+objective and its certificate.  Covariances are assembled densely on a
 uniform grid and factorized for sampling; sampling uses counter-based
 per-path substreams so draws are deterministic given the seed and
 parallelizable across paths.
@@ -12,19 +17,19 @@ parallelizable across paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .errors import DomainError, NotPSD
-from .magnus import TimeGrid
+from .magnus import TimeGrid, _trapezoid_weights
 
 __all__ = [
     "NoiseKernel",
     "OneOverF",
     "DiagonalConstant",
-    "UserMatrix",
+    "LagConvolution",
     "NoiseSampleSet",
     "CovarianceOperator",
     "exp_integral_e1",
@@ -100,14 +105,36 @@ def exp_integral_e1(x):
 
 
 class NoiseKernel:
-    """Base class: a stationary, symmetric 3x3 covariance profile N(s)."""
+    """Base class: a stationary, symmetric 3x3 covariance profile N(s).
+
+    Every kernel is a sum of R fixed-axis scalar terms,
+    N(s) = sum_r f_r(s) a_r a_r^T, which is the structure the lag
+    convolution (``LagConvolution``) works on.
+    """
+
+    @property
+    def axes(self) -> np.ndarray:
+        """Unit axes a_r of the terms; shape (R, 3)."""
+        raise NotImplementedError
+
+    def lag_profiles(self, s: np.ndarray) -> np.ndarray:
+        """Scalar profiles f_r evaluated on an array of lags s >= 0; shape (R, len(s))."""
+        raise NotImplementedError
+
+    def lag_slopes_at_zero(self) -> np.ndarray:
+        """One-sided lag derivatives f_r'(0+) of the terms; shape (R,)."""
+        raise NotImplementedError
 
     def matrix(self, s: float) -> np.ndarray:
-        raise NotImplementedError
+        """Profile at one lag s >= 0, as a symmetric 3x3 matrix."""
+        if s < 0.0:
+            raise ValueError("lag must be >= 0")
+        return self.matrix_batch(np.array([float(s)]))[0]
 
     def matrix_batch(self, s: np.ndarray) -> np.ndarray:
         """Profile evaluated on an array of lags; shape (len(s), 3, 3)."""
-        return np.stack([self.matrix(float(v)) for v in np.asarray(s, dtype=float)])
+        prof = self.lag_profiles(np.asarray(s, dtype=float))
+        return sum(f[:, None, None] * np.outer(a, a) for f, a in zip(prof, self.axes))
 
 
 def _unit_axis(axis) -> tuple[float, float, float]:
@@ -125,8 +152,8 @@ class OneOverF(NoiseKernel):
     """1/f kernel: xi * int_{gamma_lo}^{gamma_hi} dg/g exp(-g s) along a fixed axis.
 
     xi sets the strength (1/time^2), gamma_lo < gamma_hi are the decay-rate
-    cutoffs (1/time).  The closed form uses the exponential integral so the
-    optimizer can afford O(n^2) evaluations per iteration.
+    cutoffs (1/time).  The closed form uses the exponential integral, so a
+    lag convolution evaluates the profile once, in O(n), when it is built.
     """
 
     xi: float
@@ -163,13 +190,15 @@ class OneOverF(NoiseKernel):
         """One-sided lag derivative of the along-axis entry at s = 0+."""
         return self.xi * (self.gamma_lo - self.gamma_hi)
 
-    def matrix(self, s: float) -> np.ndarray:
-        a = np.asarray(self.axis)
-        return self.scalar(s) * np.outer(a, a)
+    @property
+    def axes(self) -> np.ndarray:
+        return np.array([self.axis])
 
-    def matrix_batch(self, s: np.ndarray) -> np.ndarray:
-        a = np.asarray(self.axis)
-        return self.scalar_batch(s)[:, None, None] * np.outer(a, a)
+    def lag_profiles(self, s: np.ndarray) -> np.ndarray:
+        return self.scalar_batch(s)[None, :]
+
+    def lag_slopes_at_zero(self) -> np.ndarray:
+        return np.array([self.scalar_slope_at_zero()])
 
 
 @dataclass(frozen=True)
@@ -184,32 +213,75 @@ class DiagonalConstant(NoiseKernel):
             raise ValueError("kappa must be three finite values >= 0")
         object.__setattr__(self, "kappa", k)
 
-    def matrix(self, s: float) -> np.ndarray:
-        return np.diag(self.kappa)
+    @property
+    def axes(self) -> np.ndarray:
+        return np.eye(3)
 
-    def matrix_batch(self, s: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(np.diag(self.kappa), (len(s), 3, 3)).copy()
+    def lag_profiles(self, s: np.ndarray) -> np.ndarray:
+        return np.outer(self.kappa, np.ones(len(s)))
+
+    def lag_slopes_at_zero(self) -> np.ndarray:
+        return np.zeros(3)
 
 
-@dataclass(frozen=True)
-class UserMatrix(NoiseKernel):
-    """Kernel defined by a callback s -> symmetric 3x3 matrix."""
+class LagConvolution:
+    """Stationary lag convolution of a kernel's terms on a uniform grid, by FFT.
 
-    fn: Callable[[float], np.ndarray] = field(repr=False)
+    Maps per-term projections p (R, n, 3) to
+    D_r[a] = sum_b K_r[|a - b|] w_b p_r[b], with lag column
+    K_r[j] = f_r(j dt) and quadrature weights w.  With ``kink`` the zero-lag
+    entry gains f_r'(0+) dt / 6, the second-order midpoint correction for
+    the |t - t'| kink of the kernel on the diagonal.  Each lag column is
+    embedded in a circulant of length m = the next power of two >= 2n - 1,
+    whose spectrum is computed once, so a call costs one batched
+    rfft/irfft pair and O(n) memory.
+    """
 
-    def matrix(self, s: float) -> np.ndarray:
-        m = np.asarray(self.fn(float(s)), dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError("user kernel callback must return a 3x3 matrix")
-        if np.max(np.abs(m - m.T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
-            raise ValueError("user kernel callback returned an asymmetric matrix")
-        return 0.5 * (m + m.T)
+    def __init__(self, kernel: NoiseKernel, n: int, dt: float, weights: np.ndarray, kink: bool = False):
+        self.axes = kernel.axes
+        self.weights = np.asarray(weights, dtype=float)
+        self.n = n
+        self.m = 1 << (2 * n - 2).bit_length()
+        cols = kernel.lag_profiles(dt * np.arange(n))
+        if kink:
+            cols[:, 0] += kernel.lag_slopes_at_zero() * dt / 6.0
+        emb = np.zeros((len(cols), self.m))
+        emb[:, :n] = cols
+        emb[:, self.m - n + 1 :] = cols[:, :0:-1]
+        # A symmetric embedding has a real spectrum.
+        self.spectra = np.fft.rfft(emb, axis=1).real[:, :, None]
+
+    @classmethod
+    def nodes(cls, kernel: NoiseKernel, grid: TimeGrid) -> "LagConvolution":
+        """Trapezoid rule over the grid nodes."""
+        return cls(kernel, grid.n_nodes, grid.dt, _trapezoid_weights(grid.n_nodes, grid.dt))
+
+    @classmethod
+    def cells(cls, kernel: NoiseKernel, n_cells: int, dt: float) -> "LagConvolution":
+        """Midpoint rule over cell centers, with the diagonal kink correction."""
+        return cls(kernel, n_cells, dt, np.full(n_cells, dt), kink=True)
+
+    def project(self, lmats: np.ndarray) -> np.ndarray:
+        """Projections p_r[k] = L_k a_r of lab matrices L (n, 3, 3), columns E_i; shape (R, n, 3)."""
+        return np.einsum("kab,rb->rka", lmats, self.axes)
+
+    def __call__(self, p: np.ndarray) -> np.ndarray:
+        x = np.fft.rfft(self.weights[:, None] * p, n=self.m, axis=1)
+        return np.fft.irfft(self.spectra * x, n=self.m, axis=1)[:, : self.n]
+
+    def action(self, lmats: np.ndarray) -> tuple[float, np.ndarray]:
+        """S = (1/2) sum_r sum_k w_k p_r[k] . D_r[k] of lab matrices, and the convolutions D."""
+        p = self.project(lmats)
+        d = self(p)
+        return 0.5 * float(np.sum(self.weights[:, None] * p * d)), d
+
+    def dual(self, d: np.ndarray) -> np.ndarray:
+        """Kernel-convolved triad D_i = sum_r a_{r,i} D_r; shape (n, 3, 3), row i = D_i."""
+        return np.einsum("ri,rkc->kic", self.axes, d)
 
 
 def kernel_eval(kernel: NoiseKernel, s: float) -> np.ndarray:
     """Covariance profile N(|t - t'|) at lag s >= 0, as a symmetric 3x3 matrix."""
-    if s < 0.0:
-        raise ValueError("lag must be >= 0")
     return kernel.matrix(float(s))
 
 
@@ -248,11 +320,10 @@ def assemble_covariance(kernel: NoiseKernel, grid: TimeGrid) -> CovarianceOperat
     n = grid.n_nodes
     lags = grid.dt * np.arange(n)
     prof = kernel.matrix_batch(lags)  # (n, 3, 3)
-    idx = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
     cov = np.empty((3 * n, 3 * n))
     for i in range(3):
         for j in range(3):
-            cov[i * n : (i + 1) * n, j * n : (j + 1) * n] = prof[:, i, j][idx]
+            cov[i * n : (i + 1) * n, j * n : (j + 1) * n] = toeplitz(prof[:, i, j])
     cov = 0.5 * (cov + cov.T)
 
     max_diag = float(np.max(np.diag(cov)))

@@ -29,8 +29,8 @@ from scipy.optimize import minimize
 
 from .errors import BCUnreachable, NoDescent
 from .evolution import ControlPath, TargetRotation, TriadPath, drift_for_target
-from .magnus import PurePath, TimeGrid, _central_diff, _trapezoid_weights
-from .noise import NoiseKernel, OneOverF
+from .magnus import PurePath, TimeGrid, _central_diff
+from .noise import LagConvolution, NoiseKernel
 from .quat import qexp_vec, qprefix, quat_to_matrix
 
 __all__ = [
@@ -148,32 +148,11 @@ class SweepResult:
         return [p.solution for p in self.points if p.solution is not None]
 
 
-def _kernel_blocks(kernel: NoiseKernel, grid: TimeGrid) -> list[list[np.ndarray | None]]:
-    """Toeplitz lag matrices K_ij[a, b] = N_ij(|t_a - t_b|); None for zero blocks."""
-    n = grid.n_nodes
-    prof = kernel.matrix_batch(grid.dt * np.arange(n))
-    idx = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    blocks: list[list[np.ndarray | None]] = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            col = prof[:, i, j]
-            if np.any(col != 0.0):
-                blocks[i][j] = col[idx]
-    return blocks
-
-
 def dual_triad(triad: TriadPath, kernel: NoiseKernel) -> DualTriad:
     """Trapezoid convolution of the kernel against a triad, node by node."""
-    grid = triad.grid
-    w = _trapezoid_weights(grid.n_nodes, grid.dt)
-    blocks = _kernel_blocks(kernel, grid)
-    out = np.zeros((grid.n_nodes, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            kij = blocks[i][j]
-            if kij is not None:
-                out[:, i, :] += kij @ (w[:, None] * triad.values[:, j, :])
-    return DualTriad(grid, out)
+    conv = LagConvolution.nodes(kernel, triad.grid)
+    d = conv(conv.project(np.swapaxes(triad.values, 1, 2)))
+    return DualTriad(triad.grid, conv.dual(d))
 
 
 def _resample_cells(cells: np.ndarray, grid: TimeGrid, t_dst: np.ndarray) -> np.ndarray:
@@ -215,35 +194,12 @@ class _Certificate:
 
     def __init__(self, problem: OptimizationProblem, n_steps: int):
         self.problem = problem
-        self.n_steps = n_steps
         self.dt = problem.tau / n_steps
         nodes = self.dt * np.arange(n_steps + 1)
         self.centers = 0.5 * (nodes[:-1] + nodes[1:])
         self.drift = drift_for_target(problem.target, problem.tau).as_array()
         self.amats_c = quat_to_matrix(qexp_vec(-0.5 * self.centers[:, None] * self.drift[None, :]))
-        kernel = problem.kernel
-        idc = np.abs(np.subtract.outer(np.arange(n_steps), np.arange(n_steps)))
-        self.axis = None
-        if isinstance(kernel, OneOverF):
-            self.axis = np.asarray(kernel.axis)
-            self.kw_c = kernel.scalar_batch(self.dt * np.arange(n_steps))[idc] * self.dt**2
-            self.kw_c[np.arange(n_steps), np.arange(n_steps)] += (
-                kernel.scalar_slope_at_zero() * self.dt**3 / 6.0
-            )
-        else:
-            prof = kernel.matrix_batch(self.dt * np.arange(n_steps))
-            slope = (prof[1] - prof[0]) / self.dt
-            self.kw_blocks_c = []
-            for i in range(3):
-                row = []
-                for j in range(3):
-                    if not np.any(prof[:, i, j]):
-                        row.append(None)
-                        continue
-                    kij = prof[:, i, j][idc] * self.dt**2
-                    kij[np.arange(n_steps), np.arange(n_steps)] += slope[i, j] * self.dt**3 / 6.0
-                    row.append(kij)
-                self.kw_blocks_c.append(row)
+        self.conv = LagConvolution.cells(problem.kernel, n_steps, self.dt)
 
     def residual_from_coarse(self, coarse_grid: TimeGrid, cells: np.ndarray, lam_inv: float) -> float:
         return self.residual(_resample_cells(cells, coarse_grid, self.centers), lam_inv)
@@ -260,21 +216,10 @@ class _Certificate:
         rstars = quat_to_matrix(qexp_vec(-0.25 * dt * cells)) @ rmats[:-1]
         lstars = self.amats_c @ rstars
         lam = 1.0 / lam_inv
-        if self.axis is not None:
-            p = lstars @ self.axis
-            d = (self.kw_c @ p) / dt
-            force = np.cross(p, d)
-            dual_scale = float(np.max(np.abs(self.axis).sum() * np.linalg.norm(d, axis=1)))
-        else:
-            dvals = np.zeros((self.n_steps, 3, 3))
-            for i in range(3):
-                for j in range(3):
-                    kij = self.kw_blocks_c[i][j]
-                    if kij is not None:
-                        dvals[:, i, :] += (kij @ lstars[:, :, j]) / dt
-            evals = np.swapaxes(lstars, 1, 2)
-            force = np.sum(np.cross(evals, dvals), axis=1)
-            dual_scale = float(np.max(np.sum(np.linalg.norm(dvals, axis=2), axis=1)))
+        p = self.conv.project(lstars)
+        d = self.conv(p)
+        force = np.sum(np.cross(p, d), axis=0)
+        dual_scale = float(np.max(np.sum(np.linalg.norm(self.conv.dual(d), axis=2), axis=1)))
         resid = lam * dom + force
         norm = lam * drift_norm / self.problem.tau + dual_scale
         return float(np.max(np.linalg.norm(resid, axis=1))) / norm
@@ -305,7 +250,6 @@ class _Workspace:
         grid = problem.grid
         self.n = grid.n_nodes
         self.dt = grid.dt
-        self.w = _trapezoid_weights(self.n, self.dt)
         self.drift = drift_for_target(problem.target, problem.tau).as_array()
         # Drift de-rotation matrices A_k = R(conj(u0(t_k))), u0 = exp(t/2 Omega_D),
         # at the nodes (for reporting) and at the cell centers (for the objective).
@@ -313,40 +257,8 @@ class _Workspace:
         self.amats = quat_to_matrix(u0bar)
         centers = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
         self.amats_c = quat_to_matrix(qexp_vec(-0.5 * centers[:, None] * self.drift[None, :]))
-        kernel = problem.kernel
-        self.axis = None
-        nc = self.n - 1
-        # The lag kernel has a |t - t'| kink on the diagonal; the midpoint
-        # rule there needs the second-order weight correction slope*dt^2/6.
-        if isinstance(kernel, OneOverF):
-            self.axis = np.asarray(kernel.axis)
-            idx = np.abs(np.subtract.outer(np.arange(self.n), np.arange(self.n)))
-            self.kw = kernel.scalar_batch(grid.dt * np.arange(self.n))[idx] * np.outer(self.w, self.w)
-            idc = np.abs(np.subtract.outer(np.arange(nc), np.arange(nc)))
-            self.kw_c = kernel.scalar_batch(grid.dt * np.arange(nc))[idc] * self.dt**2
-            self.kw_c[np.arange(nc), np.arange(nc)] += (
-                kernel.scalar_slope_at_zero() * self.dt**2 * self.dt / 6.0
-            )
-        else:
-            blocks = _kernel_blocks(kernel, grid)
-            ww = np.outer(self.w, self.w)
-            self.kw_blocks = [
-                [None if b is None else b * ww for b in row] for row in blocks
-            ]
-            prof_c = kernel.matrix_batch(grid.dt * np.arange(nc))
-            idc = np.abs(np.subtract.outer(np.arange(nc), np.arange(nc)))
-            slope = (prof_c[1] - prof_c[0]) / grid.dt
-            self.kw_blocks_c = []
-            for i in range(3):
-                row = []
-                for j in range(3):
-                    if not np.any(prof_c[:, i, j]):
-                        row.append(None)
-                        continue
-                    kij = prof_c[:, i, j][idc] * self.dt**2
-                    kij[np.arange(nc), np.arange(nc)] += slope[i, j] * self.dt**2 * self.dt / 6.0
-                    row.append(kij)
-                self.kw_blocks_c.append(row)
+        self.nodes_conv = LagConvolution.nodes(problem.kernel, grid)
+        self.cells_conv = LagConvolution.cells(problem.kernel, self.n - 1, self.dt)
 
     def cells_from_nodes(self, x_nodes: np.ndarray) -> np.ndarray:
         return 0.5 * (x_nodes[:-1] + x_nodes[1:])
@@ -376,29 +288,17 @@ class _Workspace:
             )
         return self._certificate.residual_from_coarse(self.problem.grid, cells, lam_inv)
 
-    def _action_core(self, lmats: np.ndarray, kw, kw_blocks) -> tuple[float, np.ndarray]:
+    @staticmethod
+    def _action_core(conv: LagConvolution, lmats: np.ndarray) -> tuple[float, np.ndarray]:
         """Action quadrature on lab matrices plus its body-frame torque per sample."""
-        if self.axis is not None:
-            p = lmats @ self.axis
-            d = kw @ p
-            s_val = 0.5 * float(np.sum(p * d))
-            u = np.einsum("kab,ka->kb", lmats, d)  # L^T d
-            torque = np.cross(np.broadcast_to(self.axis, u.shape), u)
-            return s_val, torque
-        dsdl = np.zeros_like(lmats)
-        for i in range(3):
-            for j in range(3):
-                kij = kw_blocks[i][j]
-                if kij is not None:
-                    dsdl[:, :, j] += kij @ lmats[:, :, i]
-        s_val = 0.5 * float(np.sum(lmats * dsdl))
-        b = np.einsum("kai,kaj->kij", lmats, dsdl)  # L^T dS/dL
-        return s_val, _vee(b)
+        s_val, d = conv.action(lmats)
+        u = np.einsum("kab,rka->rkb", lmats, d)  # L_k^T D_r[k]
+        torque = conv.weights[:, None] * np.sum(np.cross(conv.axes[:, None, :], u), axis=0)
+        return s_val, torque
 
     def action_nodal(self, lmats: np.ndarray) -> float:
         """Reported action: nodal trapezoid, identical to the fidelity module's."""
-        return self._action_core(lmats, self.kw if self.axis is not None else None,
-                                 None if self.axis is not None else self.kw_blocks)[0]
+        return self.nodes_conv.action(lmats)[0]
 
     @staticmethod
     def _jl_transpose_apply(phi: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -437,11 +337,7 @@ class _Workspace:
         rstars = half_steps @ rmats[:-1]
         lstars = self.amats_c @ rstars
 
-        s_val, torque = self._action_core(
-            lmats=lstars,
-            kw=self.kw_c if self.axis is not None else None,
-            kw_blocks=None if self.axis is not None else self.kw_blocks_c,
-        )
+        s_val, torque = self._action_core(self.cells_conv, lstars)
         torque = torque * lam_inv  # body-frame torque per cell
 
         # Terminal loop closure: multiplier term y . vee(R_N) plus the

@@ -88,6 +88,17 @@ class TestKernelTable:
         assert float(s0) == 0.0
         assert float(nxx0) == pytest.approx(8.0 * math.log(200.0), rel=1e-10)
 
+    def test_tilted_axis_writes_xx_entry(self, tmp_path, monkeypatch):
+        # axis (1, 0, 1)/sqrt(2) puts half of the along-axis profile in N_xx
+        monkeypatch.setenv("SPINCTL_OUT", str(tmp_path / "out"))
+        cfg = {
+            "kind": "kernel-table", "tau": 1.0,
+            "kernel": dict(PAPER_KERNEL, axis=[1.0, 0.0, 1.0]), "table_points": 11,
+        }
+        run(validate_config(json.dumps(cfg)))
+        lines = (tmp_path / "out" / "kernel.csv").read_text().splitlines()
+        assert float(lines[1].split(",")[1]) == pytest.approx(4.0 * math.log(200.0), rel=1e-10)
+
     def test_byte_identical_reruns(self, tmp_path, monkeypatch):
         cfg = {
             "kind": "kernel-table", "tau": 1.0, "kernel": PAPER_KERNEL,

@@ -6,7 +6,6 @@ import pytest
 
 from spinctl.errors import NonConvergence, SingularCot, UnsupportedOrder
 from spinctl.magnus import (
-    EpsilonStrength,
     PurePath,
     TimeGrid,
     bernoulli,
@@ -124,13 +123,6 @@ class TestSolveMOde:
         m = solve_m_ode(n, eps)
         d = mismatch(half_exp(m.values[-1], eps), time_ordered_exp(n, eps))
         assert d < 1e-8
-
-    def test_epsilon_strength_wrapper_accepted(self):
-        grid = TimeGrid(1.0, 100)
-        n = rotating_field(grid)
-        a = solve_m_ode(n, EpsilonStrength(0.5))
-        b = solve_m_ode(n, 0.5)
-        np.testing.assert_array_equal(a.values, b.values)
 
     def test_grid_convergence_second_order(self):
         # halving dt must shrink the oracle mismatch by at least 3x

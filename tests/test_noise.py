@@ -6,17 +6,21 @@ from mpmath import e1 as mp_e1, mp
 from scipy.integrate import quad
 
 from spinctl.errors import DomainError, NotPSD
-from spinctl.magnus import TimeGrid
+from spinctl.evolution import TriadPath
+from spinctl.fidelity import action_S
+from spinctl.magnus import TimeGrid, _trapezoid_weights
 from spinctl.noise import (
     CovarianceOperator,
     DiagonalConstant,
+    LagConvolution,
+    NoiseKernel,
     OneOverF,
-    UserMatrix,
     assemble_covariance,
     exp_integral_e1,
     kernel_eval,
     sample_paths,
 )
+from spinctl.optimizer import OptimizationProblem, _Workspace, dual_triad
 
 mp.dps = 30
 
@@ -129,7 +133,13 @@ class TestAssembleCovariance:
 
     def test_not_psd_raises(self):
         # a parabola in the lag is not a covariance on long grids
-        bad = UserMatrix(lambda s: np.diag([1.0 - s**2, 0.0, 0.0]))
+        class Parabola(NoiseKernel):
+            axes = np.array([[1.0, 0.0, 0.0]])
+
+            def lag_profiles(self, s):
+                return (1.0 - s**2)[None, :]
+
+        bad = Parabola()
         with pytest.raises(NotPSD) as err:
             assemble_covariance(bad, TimeGrid(4.0, 32))
         assert err.value.min_eigenvalue < 0.0
@@ -196,3 +206,77 @@ class TestSamplePaths:
         band = (freqs >= 2 * 0.5 / (2 * math.pi)) & (freqs <= 0.5 * 50.0 / (2 * math.pi))
         slope = np.polyfit(np.log(freqs[band]), np.log(spec[band]), 1)[0]
         assert -1.3 < slope < -0.7
+
+
+ORACLE_KERNELS = [
+    OneOverF(8.0, 0.1, 20.0, axis=(1.0 / 3.0, 2.0 / 3.0, -2.0 / 3.0)),
+    DiagonalConstant((0.5, 0.2, 0.1)),
+]
+
+
+def dense_dual(kernel, lmats, dt, weights, kink):
+    """Dense oracle D_i[a] = sum_j sum_b K_ij[a, b] w_b E_j[b] and its action.
+
+    K_ij[a, b] = N_ij(|a - b| dt) from a full lag-index matrix; with ``kink``
+    the diagonal gains N'(0+) dt / 6.  E_j[b] is column j of lmats[b].
+    """
+    n = len(lmats)
+    idx = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    big = kernel.matrix_batch(dt * np.arange(n))[idx]  # (n, n, 3, 3)
+    if kink:
+        slope = sum(f * np.outer(a, a) for f, a in zip(kernel.lag_slopes_at_zero(), kernel.axes))
+        big[np.arange(n), np.arange(n)] += slope * dt / 6.0
+    dual = np.einsum("abij,b,bcj->aic", big, weights, lmats)
+    action = 0.5 * float(np.einsum("a,aci,aic->", weights, lmats, dual))
+    return dual, action
+
+
+def _close(got, want):
+    want = np.asarray(want)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestLagConvolution:
+    """The FFT lag convolution against a dense double sum (independent oracle)."""
+
+    @pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["one_over_f", "diagonal"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 257])
+    @pytest.mark.parametrize("kink", [False, True], ids=["nodes", "cells"])
+    def test_operator_matches_dense(self, kernel, n, kink):
+        rng = np.random.default_rng(n)
+        dt = 1.0 / max(n, 2)
+        weights = rng.uniform(0.5, 1.5, n) * dt
+        lmats = rng.normal(size=(n, 3, 3))
+        conv = LagConvolution(kernel, n, dt, weights, kink=kink)
+        s_val, d = conv.action(lmats)
+        want_dual, want_s = dense_dual(kernel, lmats, dt, weights, kink)
+        _close(conv.dual(d), want_dual)
+        _close(s_val, want_s)
+
+    @pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["one_over_f", "diagonal"])
+    @pytest.mark.parametrize("n_steps", [2, 3, 64, 257])
+    def test_callers_match_dense(self, kernel, n_steps, paper_target):
+        grid = TimeGrid(1.0, n_steps)
+        rng = np.random.default_rng(n_steps)
+        lmats = rng.normal(size=(grid.n_nodes, 3, 3))
+        triad = TriadPath(grid, np.swapaxes(lmats, 1, 2))
+        nodal, nodal_s = dense_dual(
+            kernel, lmats, grid.dt, _trapezoid_weights(grid.n_nodes, grid.dt), kink=False
+        )
+        _close(action_S(triad, kernel), nodal_s)
+        _close(dual_triad(triad, kernel).values, nodal)
+
+        # cell placement with the kink term: the solver's action and torque
+        ws = _Workspace(
+            OptimizationProblem(kernel, paper_target, tau=1.0, lambda_inv=1.0, grid=grid)
+        )
+        cells = lmats[:-1]
+        s_val, torque = ws._action_core(ws.cells_conv, cells)
+        dual, want_s = dense_dual(kernel, cells, grid.dt, np.full(n_steps, grid.dt), kink=True)
+        dsdl = grid.dt * np.swapaxes(dual, 1, 2)  # dS/dL_k, column j = w_k D_j[k]
+        b = np.einsum("kai,kaj->kij", cells, dsdl)
+        want_torque = np.stack(
+            [b[:, 2, 1] - b[:, 1, 2], b[:, 0, 2] - b[:, 2, 0], b[:, 1, 0] - b[:, 0, 1]], axis=-1
+        )
+        _close(s_val, want_s)
+        _close(torque, want_torque)

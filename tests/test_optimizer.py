@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,24 @@ class TestDualTriad:
         # scaling the triad rows scales the dual linearly (structural check)
         d2 = dual_triad(TriadPath(grid, t1), paper_kernel).values
         np.testing.assert_array_equal(d1, d2)
+
+
+class TestRefineMemory:
+    def test_refine_to_2048_steps_stays_small(self, paper_kernel, paper_target):
+        """The refined evaluation and its 4x certificate keep O(n) memory.
+
+        A dense lag matrix on the 8192-step certificate grid alone would
+        take 512 MB.
+        """
+        problem = paper_problem(paper_kernel, paper_target, n_steps=512, lambda_inv=10.0)
+        x = 0.3 * np.sin(np.linspace(0.0, 3.0, 512))[:, None] * np.ones(3)
+        tracemalloc.start()
+        try:
+            refine_deviation(problem, x, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
 
 class TestGradient:
