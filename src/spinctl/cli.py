@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, SpinctlError
 from .evolution import TargetRotation
-from .fidelity import SpinNumber, action_S, fidelity_weak, mc_fidelity
+from .fidelity import SpinNumber, action_S, fidelity_weak, mc_fidelity_table
 from .magnus import TimeGrid, random_smooth_path, solve_m_ode, time_ordered_exp
 from .noise import DiagonalConstant, NoiseKernel, OneOverF
 from .optimizer import (
@@ -341,19 +341,6 @@ def _spin_label(two_s: int) -> str:
     return f"{two_s / 2:g}"
 
 
-def _problem(config: RunConfig, lam_values: tuple[float, ...]) -> OptimizationProblem:
-    grid = TimeGrid(config.tau, config.grid_steps)
-    continuation = lam_values if lam_values and lam_values[0] == 0.0 else (0.0,) + lam_values
-    return OptimizationProblem(
-        kernel=config.kernel,
-        target=config.target,
-        tau=config.tau,
-        lambda_inv=lam_values[-1],
-        grid=grid,
-        continuation=continuation,
-    )
-
-
 def _run_kernel_table(config: RunConfig, out: Path):
     svals = np.linspace(0.0, config.tau, config.table_points)
     rows = [[s, nxx] for s, nxx in zip(svals, config.kernel.matrix_batch(svals)[:, 0, 0])]
@@ -380,25 +367,26 @@ def _run_magnus_check(config: RunConfig, out: Path):
 
 
 def _run_mc_validate(config: RunConfig, out: Path):
-    problem = _problem(config, config.lambda_inv)
     lam = config.lambda_inv[-1]
-    if lam == 0.0:
-        sol = evaluate_deviation(problem, np.zeros((problem.grid.n_nodes, 3)))
-    else:
-        sol = solve(OptimizationProblem(
-            kernel=config.kernel, target=config.target, tau=config.tau,
-            lambda_inv=lam, grid=problem.grid,
-        ))
+    grid = TimeGrid(config.tau, config.grid_steps)
+    problem = OptimizationProblem(
+        kernel=config.kernel, target=config.target, tau=config.tau,
+        lambda_inv=lam, grid=grid,
+    )
+    sol = evaluate_deviation(problem, np.zeros((grid.n_nodes, 3))) if lam == 0.0 else solve(problem)
     s_val = action_S(sol.triad, config.kernel)
-    rows = []
-    for eps in config.epsilon:
-        for ts in config.two_s:
-            spin = SpinNumber(ts)
-            est = mc_fidelity(sol.triad, config.kernel, eps, spin, config.mc_samples, config.seed)
-            rows.append([
-                eps, _spin_label(ts), s_val, est.analytic_prediction,
-                est.mean.real, est.mean.imag, est.std_error, est.samples, config.seed,
-            ])
+    table = mc_fidelity_table(
+        sol.triad, config.kernel, config.epsilon, [SpinNumber(ts) for ts in config.two_s],
+        config.mc_samples, config.seed,
+    )
+    rows = [
+        [
+            eps, _spin_label(ts), s_val, est.analytic_prediction,
+            est.mean.real, est.mean.imag, est.std_error, est.samples, config.seed,
+        ]
+        for eps, ests in zip(config.epsilon, table)
+        for ts, est in zip(config.two_s, ests)
+    ]
     _write_csv(
         out / "mc.csv",
         ["epsilon", "s", "S_analytic", "F_analytic", "F_mc_real", "F_mc_imag", "std_err", "samples", "seed"],

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSample, DomainError
-from .evolution import ControlPath, TriadPath
+from .evolution import TriadPath
 from .magnus import ordered_exp_batch
 from .noise import LagConvolution, NoiseKernel, assemble_covariance, sample_block
 
@@ -30,6 +30,7 @@ __all__ = [
     "amplitude_s",
     "chebyshev_U",
     "mc_fidelity",
+    "mc_fidelity_table",
 ]
 
 _MC_CHUNK = 4096
@@ -156,6 +157,69 @@ def _amplitudes_from_half(a_half: np.ndarray, spin: SpinNumber) -> np.ndarray:
     return total / spin.multiplicity
 
 
+def _estimate(vals: np.ndarray, spin: SpinNumber, eps: float, S: float) -> FidelityEstimate:
+    """Compensated sample mean and standard error of one cell's amplitudes."""
+    count = len(vals)
+    mean = math.fsum(vals) / count
+    var = math.fsum((v - mean) ** 2 for v in vals) / (count - 1)
+    return FidelityEstimate(
+        mean=complex(mean, 0.0),
+        std_error=math.sqrt(var / count),
+        imag_std_error=0.0,
+        samples=count,
+        analytic_prediction=fidelity_weak(spin, eps, S),
+    )
+
+
+def mc_fidelity_table(
+    triad: TriadPath,
+    kernel: NoiseKernel,
+    epsilons,
+    spins,
+    count: int,
+    seed: int,
+) -> list[list[FidelityEstimate]]:
+    """Monte Carlo fidelity estimates for every (epsilon, spin) cell from one noise ensemble.
+
+    For each sampled lab-frame noise path n^i(t), the rotating-frame field
+    n(t) = n^i(t) E_i(t) is formed on the control triad, its ordered
+    exponential taken at each epsilon, and the scalar part lifted to every
+    requested spin.  The noise enters the spin-s amplitude only through the
+    spin-1/2 ordered exponential, and epsilon only through that product, so
+    the covariance is factorized once, each chunk of paths is drawn and
+    rotated once, and the ordered product runs once per (chunk, epsilon).
+    Path p always draws from Philox substream p of the seed, so every cell
+    is chunking-independent and equals a separate ``mc_fidelity`` call bit
+    for bit.  Sample means use compensated summation.
+
+    Returns
+    -------
+    list of list of FidelityEstimate
+        Indexed [epsilon][spin]: complex mean (the imaginary part is
+        identically zero for this estimator), standard errors, and the
+        weak-noise prediction built from ``action_S``.
+    """
+    if count < 2:
+        raise DegenerateSample("need at least 2 samples for a standard error")
+    grid = triad.grid
+    cov = assemble_covariance(kernel, grid)
+
+    chunks = [[[] for _ in spins] for _ in epsilons]
+    for start in range(0, count, _MC_CHUNK):
+        lab = sample_block(cov, seed, start, min(_MC_CHUNK, count - start))
+        rot = np.einsum("pik,kic->pkc", lab, triad.values)
+        for row, eps in zip(chunks, epsilons):
+            a_half = ordered_exp_batch(rot, eps, grid.dt)[:, 0]
+            for cell, spin in zip(row, spins):
+                cell.append(_amplitudes_from_half(a_half, spin))
+
+    S = action_S(triad, kernel)
+    return [
+        [_estimate(np.concatenate(cell), spin, eps, S) for cell, spin in zip(row, spins)]
+        for row, eps in zip(chunks, epsilons)
+    ]
+
+
 def mc_fidelity(
     triad: TriadPath,
     kernel: NoiseKernel,
@@ -163,55 +227,11 @@ def mc_fidelity(
     spin: SpinNumber,
     count: int,
     seed: int,
-    control: ControlPath | None = None,
 ) -> FidelityEstimate:
     """Monte Carlo fidelity estimate against the analytic weak-noise value.
 
-    For each sampled lab-frame noise path n^i(t), the rotating-frame field
-    n(t) = n^i(t) E_i(t) is formed on the control triad, its ordered
-    exponential taken, and the scalar part lifted to the spin-s amplitude.
-    Sample means use compensated summation; path p always draws from Philox
-    substream p of the seed, so the estimate is chunking-independent.
-
-    Parameters
-    ----------
-    triad : TriadPath
-        Rotating triad of the control under test.
-    control : ControlPath, optional
-        Control history consistent with the triad; only its grid is checked.
-
-    Returns
-    -------
-    FidelityEstimate
-        Complex mean (the imaginary part is identically zero for this
-        estimator), standard errors, and the weak-noise prediction built
-        from ``action_S``.
+    The one-cell case of ``mc_fidelity_table``: ``count`` lab-frame noise
+    paths from Philox substreams 0 .. count-1 of ``seed``, rotated onto
+    ``triad``, their ordered exponential at ``epsilon`` lifted to ``spin``.
     """
-    if count < 2:
-        raise DegenerateSample("need at least 2 samples for a standard error")
-    if control is not None and control.grid != triad.grid:
-        raise ValueError("control grid disagrees with triad grid")
-    eps = float(epsilon)
-    grid = triad.grid
-    cov = assemble_covariance(kernel, grid)
-
-    chunks = []
-    for start in range(0, count, _MC_CHUNK):
-        take = min(_MC_CHUNK, count - start)
-        lab = sample_block(cov, seed, start, take)
-        rot = np.einsum("pik,kic->pkc", lab, triad.values)
-        units = ordered_exp_batch(rot, eps, grid.dt)
-        chunks.append(_amplitudes_from_half(units[:, 0], spin))
-    vals = np.concatenate(chunks)
-
-    mean = math.fsum(vals) / count
-    var = math.fsum((v - mean) ** 2 for v in vals) / (count - 1)
-    std_err = math.sqrt(var / count)
-    prediction = fidelity_weak(spin, eps, action_S(triad, kernel))
-    return FidelityEstimate(
-        mean=complex(mean, 0.0),
-        std_error=std_err,
-        imag_std_error=0.0,
-        samples=count,
-        analytic_prediction=prediction,
-    )
+    return mc_fidelity_table(triad, kernel, (epsilon,), (spin,), count, seed)[0][0]

@@ -368,12 +368,16 @@ class NoiseSampleSet:
 
 
 def _path_normals(seed: int, start: int, count: int, dim: int) -> np.ndarray:
-    """Standard normals for paths [start, start+count), one substream each."""
-    root = np.random.Philox(key=seed)
+    """Standard normals for paths [start, start+count), one substream each.
+
+    Substream p is ``Philox(key=seed).jumped(p)``.  ``jumped(p)`` advances
+    the 256-bit counter by p * 2**128, so the substream is built directly
+    with counter word 2 set to p, without the jump arithmetic.
+    """
     out = np.empty((count, dim))
-    for p in range(count):
-        gen = np.random.Generator(root.jumped(start + p))
-        out[p] = gen.standard_normal(dim)
+    for p in range(start, start + count):
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, p, 0]))
+        out[p - start] = gen.standard_normal(dim)
     return out
 
 

@@ -31,7 +31,7 @@ from .errors import BCUnreachable, NoDescent
 from .evolution import ControlPath, TargetRotation, TriadPath, drift_for_target
 from .magnus import PurePath, TimeGrid, _central_diff
 from .noise import LagConvolution, NoiseKernel
-from .quat import qexp_vec, qprefix, quat_to_matrix
+from .quat import cross3, qexp_vec, qprefix, quat_to_matrix
 
 __all__ = [
     "Tolerances",
@@ -218,7 +218,7 @@ class _Certificate:
         lam = 1.0 / lam_inv
         p = self.conv.project(lstars)
         d = self.conv(p)
-        force = np.sum(np.cross(p, d), axis=0)
+        force = np.sum(cross3(p, d), axis=0)
         dual_scale = float(np.max(np.sum(np.linalg.norm(self.conv.dual(d), axis=2), axis=1)))
         resid = lam * dom + force
         norm = lam * drift_norm / self.problem.tau + dual_scale
@@ -293,7 +293,7 @@ class _Workspace:
         """Action quadrature on lab matrices plus its body-frame torque per sample."""
         s_val, d = conv.action(lmats)
         u = np.einsum("kab,rka->rkb", lmats, d)  # L_k^T D_r[k]
-        torque = conv.weights[:, None] * np.sum(np.cross(conv.axes[:, None, :], u), axis=0)
+        torque = conv.weights[:, None] * np.sum(cross3(conv.axes[:, None, :], u), axis=0)
         return s_val, torque
 
     def action_nodal(self, lmats: np.ndarray) -> float:
@@ -316,8 +316,8 @@ class _Workspace:
                 / np.where(theta2 == 0, 1.0, theta2 * np.where(theta == 0, 1.0, theta)),
             )
         # J_l(phi)^T v = v - c1 phi x v + c2 phi x (phi x v)
-        pxv = np.cross(phi, vec)
-        return vec - c1[:, None] * pxv + c2[:, None] * np.cross(phi, pxv)
+        pxv = cross3(phi, vec)
+        return vec - c1[:, None] * pxv + c2[:, None] * cross3(phi, pxv)
 
     def objective(
         self, xflat: np.ndarray, lam_inv: float, mu: float, y: np.ndarray

@@ -40,6 +40,7 @@ __all__ = [
     "rotate",
     "qmul_wxyz",
     "qconj_wxyz",
+    "cross3",
     "qexp_vec",
     "qprefix",
     "qproduct",
@@ -281,6 +282,18 @@ def qconj_wxyz(a: np.ndarray) -> np.ndarray:
     out = a.copy()
     out[..., 1:] *= -1.0
     return out
+
+
+def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product of (..., 3) arrays along the last axis, broadcasting.
+
+    Component-wise, with the same products and differences as ``np.cross``
+    (so the same bits), without its axis bookkeeping, which dominates on
+    small arrays.
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 def qexp_vec(v: np.ndarray) -> np.ndarray:

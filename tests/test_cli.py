@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from spinctl import fidelity
 from spinctl.cli import RunConfig, main, run, validate_config
 from spinctl.errors import ConfigError
 
@@ -143,6 +144,32 @@ class TestMcValidate:
         assert (tmp_path / "a" / "mc.csv").read_bytes() == (
             tmp_path / "b" / "mc.csv"
         ).read_bytes()
+
+    def test_one_noise_ensemble_serves_every_cell(self, tmp_path, monkeypatch):
+        # 2 epsilon x 2 spin cells over two sample chunks: the covariance is
+        # factorized once, each chunk is drawn once, and the ordered product
+        # runs once per (chunk, epsilon).
+        calls = {"assemble_covariance": 0, "sample_block": 0, "ordered_exp_batch": 0}
+        for name in calls:
+            orig = getattr(fidelity, name)
+
+            def counted(*args, _orig=orig, _name=name, **kwargs):
+                calls[_name] += 1
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(fidelity, name, counted)
+        monkeypatch.setenv("SPINCTL_OUT", str(tmp_path / "out"))
+        cfg = {
+            "kind": "mc-validate", "tau": 1.0, "kernel": PAPER_KERNEL,
+            "target": PAPER_TARGET, "epsilon": [0.1, 0.3], "two_s": [1, 2],
+            "grid_steps": 16, "mc_samples": 4097, "seed": 11,
+        }
+        run(validate_config(json.dumps(cfg)))
+        assert calls == {"assemble_covariance": 1, "sample_block": 2, "ordered_exp_batch": 4}
+        lines = (tmp_path / "out" / "mc.csv").read_text().splitlines()
+        assert [tuple(line.split(",")[:2]) for line in lines[1:]] == [
+            ("0.1", "0.5"), ("0.1", "1"), ("0.3", "0.5"), ("0.3", "1"),
+        ]
 
 
 class TestMagnusCheck:

@@ -13,9 +13,11 @@ from spinctl.fidelity import (
     chebyshev_U,
     fidelity_weak,
     mc_fidelity,
+    mc_fidelity_table,
+    _amplitudes_from_half,
 )
-from spinctl.magnus import PurePath, TimeGrid, solve_m_ode, time_ordered_exp
-from spinctl.noise import DiagonalConstant, OneOverF
+from spinctl.magnus import PurePath, TimeGrid, ordered_exp_batch, solve_m_ode, time_ordered_exp
+from spinctl.noise import DiagonalConstant, OneOverF, sample_paths
 
 from conftest import drift_triad
 
@@ -204,3 +206,50 @@ class TestMonteCarlo:
         dev_weak = abs(weak.mean.real - weak.analytic_prediction)
         dev_strong = abs(strong.mean.real - strong.analytic_prediction)
         assert dev_strong > dev_weak
+
+
+def oracle_cell(triad, kernel, epsilon, spin, count, seed):
+    """One (epsilon, spin) cell from a single full draw of ``sample_paths``.
+
+    All paths are drawn, rotated and ordered in one batch, and the mean and
+    standard error are formed directly, independently of the estimator's
+    chunk loop and shared-draw bookkeeping.
+    """
+    lab = sample_paths(kernel, triad.grid, count, seed).paths
+    rot = np.einsum("pik,kic->pkc", lab, triad.values)
+    vals = _amplitudes_from_half(ordered_exp_batch(rot, epsilon, triad.grid.dt)[:, 0], spin)
+    mean = math.fsum(vals) / count
+    var = math.fsum((v - mean) ** 2 for v in vals) / (count - 1)
+    return mean, math.sqrt(var / count)
+
+
+class TestMonteCarloTable:
+    EPSILONS = (0.0, 0.1, 0.3)
+    SPINS = (SpinNumber(1), SpinNumber(2), SpinNumber(5))
+    # Two chunks of the estimator, the second a ragged tail of one path.
+    COUNT = 4097
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [OneOverF(8.0, 0.1, 20.0), DiagonalConstant((0.5, 0.2, 0.1))],
+        ids=["one_over_f", "diagonal_constant"],
+    )
+    def test_every_cell_matches_independent_draw(self, kernel):
+        triad = drift_triad(TimeGrid(1.0, 24))
+        table = mc_fidelity_table(triad, kernel, self.EPSILONS, self.SPINS, self.COUNT, seed=31)
+        assert len(table) == len(self.EPSILONS)
+        S = action_S(triad, kernel)
+        for eps, row in zip(self.EPSILONS, table):
+            assert len(row) == len(self.SPINS)
+            for spin, est in zip(self.SPINS, row):
+                mean, std_err = oracle_cell(triad, kernel, eps, spin, self.COUNT, 31)
+                assert est.mean == complex(mean, 0.0)
+                assert est.std_error == std_err
+                assert est.samples == self.COUNT
+                assert est.analytic_prediction == fidelity_weak(spin, eps, S)
+
+    def test_single_cell_is_mc_fidelity(self, paper_kernel):
+        triad = drift_triad(TimeGrid(1.0, 24))
+        table = mc_fidelity_table(triad, paper_kernel, (0.05, 0.2), self.SPINS[:2], 300, seed=8)
+        est = mc_fidelity(triad, paper_kernel, 0.2, self.SPINS[1], 300, seed=8)
+        assert table[1][1] == est

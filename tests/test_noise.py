@@ -19,6 +19,7 @@ from spinctl.noise import (
     exp_integral_e1,
     kernel_eval,
     sample_paths,
+    _path_normals,
 )
 from spinctl.optimizer import OptimizationProblem, _Workspace, dual_triad
 
@@ -206,6 +207,19 @@ class TestSamplePaths:
         band = (freqs >= 2 * 0.5 / (2 * math.pi)) & (freqs <= 0.5 * 50.0 / (2 * math.pi))
         slope = np.polyfit(np.log(freqs[band]), np.log(spec[band]), 1)[0]
         assert -1.3 < slope < -0.7
+
+
+    @pytest.mark.parametrize("start", [0, 1, 4095, 123456, 2**32 + 3, 2**40])
+    def test_counter_substreams_match_jumped(self, start):
+        # Substream p is built at Philox counter word 2 = p; it must stay
+        # the stream Philox(key=seed).jumped(p) that defines path p.
+        seed, dim = 2024, 57
+        root = np.random.Philox(key=seed)
+        want = np.array([
+            np.random.Generator(root.jumped(p)).standard_normal(dim)
+            for p in range(start, start + 3)
+        ])
+        np.testing.assert_array_equal(_path_normals(seed, start, 3, dim), want)
 
 
 ORACLE_KERNELS = [

@@ -11,6 +11,7 @@ from spinctl.quat import (
     PureQuat,
     Quat,
     UnitQuat,
+    cross3,
     qconj,
     qdot,
     qexp,
@@ -258,6 +259,17 @@ class TestArrayHelpers:
         for k in range(10):
             u = qexp(PureQuat(*vecs[k]))
             np.testing.assert_allclose(units[k], quat_tuple(u), atol=1e-14)
+
+
+    @pytest.mark.parametrize(
+        "shape_a, shape_b",
+        [((511, 3), (511, 3)), ((1, 1, 3), (4, 511, 3)), ((3,), (7, 3))],
+    )
+    def test_cross3_matches_numpy_bit_for_bit(self, shape_a, shape_b):
+        rng = np.random.default_rng(15)
+        a = rng.normal(size=shape_a)
+        b = rng.normal(size=shape_b)
+        np.testing.assert_array_equal(cross3(a, b), np.cross(a, b))
 
 
 def left_fold(steps):
