@@ -25,7 +25,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,33 +49,28 @@ __all__ = ["RunConfig", "RunReport", "validate_config", "run", "main"]
 
 KINDS = ("solve", "sweep", "mc-validate", "magnus-check", "kernel-table")
 
-_DEFAULT_GRID = {
-    "solve": 512,
-    "sweep": 512,
-    "mc-validate": 256,
-    "magnus-check": 10000,
-    "kernel-table": 0,
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration (one experiment kind per file)."""
+    """Validated run configuration (one experiment kind per file).
+
+    A field that its kind does not read keeps its default here.
+    """
 
     kind: str
     tau: float
-    kernel: NoiseKernel | None
-    target: TargetRotation | None
-    lambda_inv: tuple[float, ...]
-    epsilon: tuple[float, ...]
-    two_s: tuple[int, ...]
-    grid_steps: int
-    refine_steps: int
-    mc_samples: int
-    paths: int
-    table_points: int
-    seed: int | None
-    out_dir: str
+    kernel: NoiseKernel | None = None
+    target: TargetRotation | None = None
+    lambda_inv: tuple[float, ...] = ()
+    epsilon: tuple[float, ...] = ()
+    two_s: tuple[int, ...] = ()
+    grid_steps: int = 0
+    refine_steps: int = 2048
+    mc_samples: int = 10000
+    paths: int = 20
+    table_points: int = 101
+    seed: int | None = None
+    out_dir: str = "out"
     echo: dict = field(repr=False, default_factory=dict)
 
 
@@ -83,246 +78,181 @@ class RunConfig:
 class RunReport:
     """Everything needed to trace reported numbers back to the config."""
 
-    config_echo: dict
+    config: dict
     rows: list
     wall_clock_s: float
     version: str
     grid_deltas: dict
 
 
-def _check_number(diags, cfg, key, *, required=False, positive=False, nonneg=False, default=None):
-    if key not in cfg:
-        if required:
-            diags.append(f"missing required field '{key}'")
-        return default
-    v = cfg[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(float(v)):
-        diags.append(f"field '{key}' must be a finite number")
-        return default
-    v = float(v)
-    if positive and v <= 0.0:
-        diags.append(f"field '{key}' must be > 0")
-        return default
-    if nonneg and v < 0.0:
-        diags.append(f"field '{key}' must be >= 0")
-        return default
-    return v
+_REQ, _NO = object(), object()  # field-table defaults: required; not read by the kind
 
 
-def _check_int(diags, cfg, key, *, required=False, minimum=None, default=None):
-    if key not in cfg:
-        if required:
-            diags.append(f"missing required field '{key}'")
-        return default
-    v = cfg[key]
-    if not isinstance(v, int) or isinstance(v, bool):
-        diags.append(f"field '{key}' must be an integer")
-        return default
-    if minimum is not None and v < minimum:
-        diags.append(f"field '{key}' must be >= {minimum}")
-        return default
-    return v
+@dataclass(frozen=True)
+class _Rule:
+    """Type and bounds of one config value; a list shape applies them to every entry."""
+
+    type: type  # float (a finite number), int or str
+    low: float | None = None  # lower bound, inclusive unless ``strict``
+    strict: bool = False
+    bits: int | None = None  # the value must be < 2**bits; 128 for a Philox key
+    shape: str = ""  # "" scalar, "list" non-empty list, "vec3" 3-element list
+
+    def __call__(self, value, name: str):
+        """The checked value (a tuple for a list shape); raises ConfigError."""
+        if not self.shape:
+            return self._entry(value, name)
+        if not isinstance(value, list) or not value or (self.shape == "vec3" and len(value) != 3):
+            raise ConfigError([f"{name} must be {_NOUNS[self.shape]}"])
+        return tuple(self._entry(v, f"each entry of {name}") for v in value)
+
+    def _entry(self, v, name: str):
+        types = (int, float) if self.type is float else (self.type,)  # exact JSON types: bool is no int
+        if type(v) not in types or (self.type is float and not abs(v) <= sys.float_info.max):
+            raise ConfigError([f"{name} must be {_NOUNS[self.type]}"])
+        if self.low is not None and (v <= self.low if self.strict else v < self.low):
+            raise ConfigError([f"{name} must be {'>' if self.strict else '>='} {self.low:g}"])
+        if self.bits is not None and v >= 2**self.bits:
+            raise ConfigError([f"{name} must be < 2**{self.bits}"])
+        return self.type(v)
 
 
-def _parse_kernel(diags, cfg) -> NoiseKernel | None:
-    spec = cfg.get("kernel")
-    if spec is None:
-        diags.append("missing required field 'kernel'")
-        return None
-    if not isinstance(spec, dict):
-        diags.append("field 'kernel' must be an object")
-        return None
-    ktype = spec.get("type")
-    if ktype == "one_over_f":
-        allowed = {"type", "xi", "gamma_lo", "gamma_hi", "axis"}
-        for key in spec:
-            if key not in allowed:
-                diags.append(f"kernel: unknown key '{key}'")
-        xi = _check_number(diags, spec, "xi", required=True, positive=True)
-        glo = _check_number(diags, spec, "gamma_lo", required=True, positive=True)
-        ghi = _check_number(diags, spec, "gamma_hi", required=True, positive=True)
-        if glo is not None and ghi is not None and glo >= ghi:
-            diags.append("kernel: cutoffs must satisfy gamma_lo < gamma_hi")
-            return None
-        axis = spec.get("axis", [1.0, 0.0, 0.0])
-        if not (isinstance(axis, list) and len(axis) == 3):
-            diags.append("kernel: 'axis' must be a 3-element list")
-            return None
-        if None in (xi, glo, ghi):
-            return None
-        try:
-            return OneOverF(xi, glo, ghi, tuple(float(a) for a in axis))
-        except ValueError as exc:
-            diags.append(f"kernel: {exc}")
-            return None
-    if ktype == "diagonal_constant":
-        for key in spec:
-            if key not in {"type", "kappa"}:
-                diags.append(f"kernel: unknown key '{key}'")
-        kappa = spec.get("kappa")
-        if not (isinstance(kappa, list) and len(kappa) == 3):
-            diags.append("kernel: 'kappa' must be a 3-element list")
-            return None
-        try:
-            return DiagonalConstant(tuple(float(k) for k in kappa))
-        except ValueError as exc:
-            diags.append(f"kernel: {exc}")
-            return None
-    diags.append("kernel: 'type' must be 'one_over_f' or 'diagonal_constant'")
-    return None
+_NOUNS = {float: "a finite number", int: "an integer", str: "a string",
+          "list": "a non-empty list", "vec3": "a 3-element list"}
+_POSITIVE = _Rule(float, 0.0, strict=True)
+_NONNEG = _Rule(float, 0.0)
+_NONNEG_LIST = _Rule(float, 0.0, shape="list")
+_GRID = _Rule(int, 2)
+_VEC3 = _Rule(float, shape="vec3")
 
 
-def _parse_target(diags, cfg) -> TargetRotation | None:
-    spec = cfg.get("target")
-    if spec is None:
-        diags.append("missing required field 'target'")
-        return None
-    if not isinstance(spec, dict):
-        diags.append("field 'target' must be an object")
-        return None
-    for key in spec:
-        if key not in {"axis", "angle", "winding"}:
-            diags.append(f"target: unknown key '{key}'")
-    axis = spec.get("axis")
-    if not (isinstance(axis, list) and len(axis) == 3):
-        diags.append("target: 'axis' must be a 3-element list")
-        return None
-    angle = _check_number(diags, spec, "angle", required=True, nonneg=True)
-    winding = _check_int(diags, spec, "winding", minimum=None, default=0)
-    if angle is None or winding is None:
-        return None
-    try:
-        return TargetRotation.from_axis_angle([float(a) for a in axis], angle, winding)
-    except ValueError as exc:
-        diags.append(f"target: {exc}")
-        return None
+def _check_object(obj: dict, table: dict, where: str = "", kind: str = ""):
+    """Check a JSON object against a field table of key -> (rule, default).
+
+    Returns the checked values, with defaults for absent keys, and one
+    diagnostic per violation.  ``kind`` names the kind of a top-level object.
+    """
+    diags = [
+        f"field '{key}' is not used by kind '{kind}'" if kind and key in _FIELDS
+        else f"{where}unknown key '{key}'"
+        for key in obj if key not in table
+    ]
+    values = {}
+    for key, (rule, default) in table.items():
+        if key in obj:
+            try:
+                values[key] = rule(obj[key], f"field '{key}'")
+            except ConfigError as exc:
+                diags.extend(where + d for d in exc.diagnostics)
+        elif default is _REQ:
+            diags.append(f"{where}missing required field '{key}'")
+        else:
+            values[key] = default
+    return values, diags
 
 
-def _parse_list(diags, cfg, key, *, required, kind, minimum=None, default=()):
-    if key not in cfg:
-        if required:
-            diags.append(f"missing required field '{key}'")
-        return tuple(default)
-    vals = cfg[key]
-    if not isinstance(vals, list) or not vals:
-        diags.append(f"field '{key}' must be a non-empty list")
-        return tuple(default)
-    out = []
-    for v in vals:
-        if kind == "int" and (not isinstance(v, int) or isinstance(v, bool)):
-            diags.append(f"field '{key}' must contain integers")
-            return tuple(default)
-        if kind == "number" and (not isinstance(v, (int, float)) or isinstance(v, bool)):
-            diags.append(f"field '{key}' must contain numbers")
-            return tuple(default)
-        v = int(v) if kind == "int" else float(v)
-        if minimum is not None and v < minimum:
-            diags.append(f"field '{key}' entries must be >= {minimum}")
-            return tuple(default)
-        out.append(v)
-    return tuple(out)
+def _nested(where: str, tables: dict, tag: str | None = None):
+    """Rule for a nested object, built by a constructor from its checked fields.
+
+    ``tables`` maps the object's ``tag`` value (None if untagged) to a
+    (constructor, field table) pair; the constructor checks cross-field
+    rules, and its ValueError becomes a diagnostic.
+    """
+
+    def rule(spec, name: str):
+        if not isinstance(spec, dict):
+            raise ConfigError([f"{name} must be an object"])
+        spec = dict(spec)
+        variant = spec.pop(tag, None) if tag else None
+        if variant not in tables:
+            raise ConfigError([f"{where}: '{tag}' must be one of {', '.join(tables)}"])
+        build, table = tables[variant]
+        values, diags = _check_object(spec, table, f"{where}: ")
+        if not diags:
+            try:
+                return build(**values)
+            except ValueError as exc:
+                diags.append(f"{where}: {exc}")
+        raise ConfigError(diags)
+
+    return rule
+
+
+_KERNEL = _nested("kernel", {
+    "one_over_f": (OneOverF, {
+        "xi": (_POSITIVE, _REQ),
+        "gamma_lo": (_POSITIVE, _REQ),
+        "gamma_hi": (_POSITIVE, _REQ),
+        "axis": (_VEC3, (1.0, 0.0, 0.0)),
+    }),
+    "diagonal_constant": (DiagonalConstant, {
+        "kappa": (_Rule(float, 0.0, shape="vec3"), _REQ),
+    }),
+}, tag="type")
+_TARGET = _nested("target", {None: (TargetRotation.from_axis_angle, {
+    "axis": (_VEC3, _REQ),
+    "angle": (_NONNEG, _REQ),
+    "winding": (_Rule(int), 0),
+})})
+
+# Each key's rule, then its default per kind in KINDS order (solve, sweep,
+# mc-validate, magnus-check, kernel-table).  _REQ: the key is required;
+# _NO: the kind does not read the key.
+_FIELDS = {
+    "tau":          (_POSITIVE,                   _REQ,  _REQ,  _REQ,  _REQ,            _REQ),
+    "kernel":       (_KERNEL,                     _REQ,  _REQ,  _REQ,  _NO,             _REQ),
+    "target":       (_TARGET,                     _REQ,  _REQ,  _REQ,  _NO,             _NO),
+    "lambda_inv":   (_NONNEG,                     _REQ,  _REQ,  0.0,   _NO,             _NO),
+    "epsilon":      (_NONNEG_LIST,                (),    _REQ,  _REQ,  (0.1, 0.5, 1.0), _NO),
+    "two_s":        (_Rule(int, 1, shape="list"), (),    _REQ,  _REQ,  _NO,             _NO),
+    "grid_steps":   (_GRID,                       512,   512,   256,   10000,           _NO),
+    "refine_steps": (_Rule(int, 0),               2048,  2048,  _NO,   _NO,             _NO),
+    "mc_samples":   (_Rule(int, 2),               _NO,   _NO,   10000, _NO,             _NO),
+    "paths":        (_Rule(int, 1),               _NO,   _NO,   _NO,   20,              _NO),
+    "table_points": (_Rule(int, 2),               _NO,   _NO,   _NO,   _NO,             101),
+    "seed":         (_Rule(int, 0, bits=128),     None,  None,  _REQ,  _REQ,            None),
+    "out_dir":      (_Rule(str),                  "out", "out", "out", "out",           "out"),
+}
+_TABLES = {
+    kind: {key: (rule, row[i]) for key, (rule, *row) in _FIELDS.items() if row[i] is not _NO}
+    for i, kind in enumerate(KINDS)
+}
+_TABLES["sweep"]["lambda_inv"] = (_NONNEG_LIST, _REQ)  # a sweep reads a ladder of values
 
 
 def validate_config(raw_text: str) -> RunConfig:
     """Parse and fully validate a JSON config, aggregating all violations.
+
+    ``_FIELDS`` gives each key's rule and, per kind, its default or
+    "required"; a key the kind does not read, or that no kind knows, is an
+    error.  The kernel and target constructors check their cross-field
+    rules; a sweep's ``lambda_inv`` must start at 0 and increase strictly.
 
     Raises
     ------
     ConfigError
         With one diagnostic per violated field; nothing is computed first.
     """
-    diags: list[str] = []
     try:
         cfg = json.loads(raw_text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"invalid JSON: {exc}"]) from exc
     if not isinstance(cfg, dict):
         raise ConfigError(["config root must be a JSON object"])
-
     kind = cfg.get("kind")
     if kind not in KINDS:
         raise ConfigError([f"field 'kind' must be one of {', '.join(KINDS)}"])
 
-    known = {
-        "kind", "tau", "kernel", "target", "lambda_inv", "epsilon", "two_s",
-        "grid_steps", "refine_steps", "mc_samples", "paths", "table_points",
-        "seed", "out_dir",
-    }
-    for key in cfg:
-        if key not in known:
-            diags.append(f"unknown key '{key}'")
-
-    tau = _check_number(diags, cfg, "tau", required=True, positive=True, default=1.0)
-
-    kernel = None
-    if kind != "magnus-check":
-        kernel = _parse_kernel(diags, cfg)
-
-    target = None
-    if kind in ("solve", "sweep", "mc-validate"):
-        target = _parse_target(diags, cfg)
-
-    if kind == "sweep":
-        lambda_inv = _parse_list(diags, cfg, "lambda_inv", required=True, kind="number", minimum=0.0)
-        if lambda_inv and (lambda_inv[0] != 0.0 or any(b <= a for a, b in zip(lambda_inv, lambda_inv[1:]))):
-            diags.append("field 'lambda_inv' must start at 0 and increase strictly")
-    elif kind == "solve":
-        lam = _check_number(diags, cfg, "lambda_inv", required=True, nonneg=True)
-        lambda_inv = (lam,) if lam is not None else ()
-    elif kind == "mc-validate":
-        lam = _check_number(diags, cfg, "lambda_inv", nonneg=True, default=0.0)
-        lambda_inv = (lam,) if lam is not None else (0.0,)
-    else:
-        lambda_inv = ()
-        if "lambda_inv" in cfg:
-            diags.append(f"field 'lambda_inv' is not used by kind '{kind}'")
-
-    epsilon: tuple[float, ...] = ()
-    two_s: tuple[int, ...] = ()
-    if kind in ("sweep", "mc-validate"):
-        epsilon = _parse_list(diags, cfg, "epsilon", required=True, kind="number", minimum=0.0)
-        two_s = _parse_list(diags, cfg, "two_s", required=True, kind="int", minimum=1)
-    elif kind == "magnus-check":
-        epsilon = _parse_list(diags, cfg, "epsilon", required=False, kind="number", minimum=0.0,
-                              default=(0.1, 0.5, 1.0))
-    elif kind == "solve":
-        epsilon = _parse_list(diags, cfg, "epsilon", required=False, kind="number", minimum=0.0)
-        two_s = _parse_list(diags, cfg, "two_s", required=False, kind="int", minimum=1)
-
-    grid_steps = _check_int(diags, cfg, "grid_steps", minimum=2, default=_DEFAULT_GRID[kind])
-    refine_steps = _check_int(diags, cfg, "refine_steps", minimum=0, default=2048)
-    mc_samples = _check_int(diags, cfg, "mc_samples", minimum=2, default=10000)
-    paths = _check_int(diags, cfg, "paths", minimum=1, default=20)
-    table_points = _check_int(diags, cfg, "table_points", minimum=2, default=101)
-
-    seed = _check_int(diags, cfg, "seed", default=None)
-    if kind in ("mc-validate", "magnus-check") and seed is None:
-        diags.append(f"field 'seed' is mandatory for kind '{kind}'")
-
-    out_dir = cfg.get("out_dir", "out")
-    if not isinstance(out_dir, str):
-        diags.append("field 'out_dir' must be a string")
-        out_dir = "out"
-
+    body = {key: value for key, value in cfg.items() if key != "kind"}
+    values, diags = _check_object(body, _TABLES[kind], kind=kind)
+    lam = values.get("lambda_inv", ())
+    if isinstance(lam, float):
+        values["lambda_inv"] = (lam,)
+    elif lam and (lam[0] != 0.0 or any(b <= a for a, b in zip(lam, lam[1:]))):
+        diags.append("field 'lambda_inv' must start at 0 and increase strictly")
     if diags:
         raise ConfigError(diags)
-    return RunConfig(
-        kind=kind,
-        tau=tau,
-        kernel=kernel,
-        target=target,
-        lambda_inv=lambda_inv,
-        epsilon=epsilon,
-        two_s=two_s,
-        grid_steps=grid_steps,
-        refine_steps=refine_steps,
-        mc_samples=mc_samples,
-        paths=paths,
-        table_points=table_points,
-        seed=seed,
-        out_dir=out_dir,
-        echo=cfg,
-    )
+    return RunConfig(kind=kind, echo=cfg, **values)
 
 
 def _fmt(x) -> str:
@@ -331,10 +261,12 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> list[dict]:
+    """Write the CSV and return its rows as report rows keyed by the header."""
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n", newline="\n")
+    return [dict(zip(header, row)) for row in rows]
 
 
 def _spin_label(two_s: int) -> str:
@@ -344,8 +276,7 @@ def _spin_label(two_s: int) -> str:
 def _run_kernel_table(config: RunConfig, out: Path):
     svals = np.linspace(0.0, config.tau, config.table_points)
     rows = [[s, nxx] for s, nxx in zip(svals, config.kernel.matrix_batch(svals)[:, 0, 0])]
-    _write_csv(out / "kernel.csv", ["s", "N_xx"], rows)
-    return [{"s": r[0], "N_xx": r[1]} for r in rows], {}
+    return _write_csv(out / "kernel.csv", ["s", "N_xx"], rows), {}
 
 
 def _run_magnus_check(config: RunConfig, out: Path):
@@ -360,10 +291,8 @@ def _run_magnus_check(config: RunConfig, out: Path):
             oracle = time_ordered_exp(path, eps)
             mismatch = math.sqrt(sum((a - b) ** 2 for a, b in zip(ex.wxyz(), oracle.wxyz())))
             rows.append([p, eps, grid.n_steps, mismatch])
-    _write_csv(out / "magnus.csv", ["path_index", "epsilon", "n_steps", "mismatch"], rows)
-    worst = max(r[3] for r in rows)
-    report_rows = [{"path_index": r[0], "epsilon": r[1], "n_steps": r[2], "mismatch": r[3]} for r in rows]
-    return report_rows, {"worst_mismatch": worst}
+    report_rows = _write_csv(out / "magnus.csv", ["path_index", "epsilon", "n_steps", "mismatch"], rows)
+    return report_rows, {"worst_mismatch": max(r[3] for r in rows)}
 
 
 def _run_mc_validate(config: RunConfig, out: Path):
@@ -387,16 +316,11 @@ def _run_mc_validate(config: RunConfig, out: Path):
         for eps, ests in zip(config.epsilon, table)
         for ts, est in zip(config.two_s, ests)
     ]
-    _write_csv(
+    report_rows = _write_csv(
         out / "mc.csv",
         ["epsilon", "s", "S_analytic", "F_analytic", "F_mc_real", "F_mc_imag", "std_err", "samples", "seed"],
         rows,
     )
-    report_rows = [
-        dict(zip(["epsilon", "s", "S_analytic", "F_analytic", "F_mc_real", "F_mc_imag",
-                  "std_err", "samples", "seed"], r))
-        for r in rows
-    ]
     return report_rows, {"S": s_val, "lambda_inv": lam}
 
 
@@ -536,20 +460,13 @@ def run(config: RunConfig) -> RunReport:
     }[config.kind]
     rows, deltas = runner(config, out)
     report = RunReport(
-        config_echo=config.echo,
+        config=config.echo,
         rows=rows,
         wall_clock_s=time.perf_counter() - start,
         version=__version__,
         grid_deltas=deltas,
     )
-    payload = {
-        "config": report.config_echo,
-        "rows": report.rows,
-        "wall_clock_s": report.wall_clock_s,
-        "version": report.version,
-        "grid_deltas": report.grid_deltas,
-    }
-    (out / "report.json").write_text(json.dumps(payload, indent=1, default=float), newline="\n")
+    (out / "report.json").write_text(json.dumps(asdict(report), indent=1, default=float), newline="\n")
     return report
 
 
@@ -575,9 +492,7 @@ def main(argv: list[str] | None = None) -> int:
                 [f"config kind '{config.kind}' does not match subcommand '{args.command}'"]
             )
         if args.grid is not None:
-            if args.grid < 2:
-                raise ConfigError(["--grid must be >= 2"])
-            config = replace(config, grid_steps=args.grid)
+            config = replace(config, grid_steps=_GRID(args.grid, "--grid"))
     except ConfigError as exc:
         for d in exc.diagnostics:
             print(f"config error: {d}", file=sys.stderr)

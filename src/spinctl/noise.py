@@ -33,7 +33,6 @@ __all__ = [
     "NoiseSampleSet",
     "CovarianceOperator",
     "exp_integral_e1",
-    "kernel_eval",
     "assemble_covariance",
     "sample_block",
     "sample_paths",
@@ -278,11 +277,6 @@ class LagConvolution:
     def dual(self, d: np.ndarray) -> np.ndarray:
         """Kernel-convolved triad D_i = sum_r a_{r,i} D_r; shape (n, 3, 3), row i = D_i."""
         return np.einsum("ri,rkc->kic", self.axes, d)
-
-
-def kernel_eval(kernel: NoiseKernel, s: float) -> np.ndarray:
-    """Covariance profile N(|t - t'|) at lag s >= 0, as a symmetric 3x3 matrix."""
-    return kernel.matrix(float(s))
 
 
 @dataclass(frozen=True)

@@ -37,10 +37,8 @@ __all__ = [
     "Tolerances",
     "OptimizationProblem",
     "ControlSolution",
-    "DualTriad",
     "SweepPoint",
     "SweepResult",
-    "dual_triad",
     "el_residual",
     "evaluate_deviation",
     "refine_deviation",
@@ -123,17 +121,6 @@ class ControlSolution:
 
 
 @dataclass(frozen=True)
-class DualTriad:
-    """Kernel-convolved triad D_i(t) = int N_ij(t, t') E_j(t') dt'."""
-
-    grid: TimeGrid
-    values: np.ndarray  # (n_nodes, 3, 3), row i = components of D_i
-
-    def D(self, i: int) -> np.ndarray:
-        return self.values[:, i, :]
-
-
-@dataclass(frozen=True)
 class SweepPoint:
     lambda_inv: float
     solution: ControlSolution | None
@@ -146,13 +133,6 @@ class SweepResult:
 
     def solutions(self) -> list[ControlSolution]:
         return [p.solution for p in self.points if p.solution is not None]
-
-
-def dual_triad(triad: TriadPath, kernel: NoiseKernel) -> DualTriad:
-    """Trapezoid convolution of the kernel against a triad, node by node."""
-    conv = LagConvolution.nodes(kernel, triad.grid)
-    d = conv(conv.project(np.swapaxes(triad.values, 1, 2)))
-    return DualTriad(triad.grid, conv.dual(d))
 
 
 def _resample_cells(cells: np.ndarray, grid: TimeGrid, t_dst: np.ndarray) -> np.ndarray:

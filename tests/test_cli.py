@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,20 @@ PAPER_TARGET = {
     "axis": [1.0, 0.0, 1.0],
     "angle": 2.0 * math.pi * (math.sqrt(2.0) - 1.0),
     "winding": 1,
+}
+
+
+SMALL_MC = {
+    "kind": "mc-validate", "tau": 1.0, "kernel": PAPER_KERNEL, "target": PAPER_TARGET,
+    "epsilon": [0.1], "two_s": [1], "grid_steps": 16, "mc_samples": 50, "seed": 11,
+}
+SMALL_SWEEP = {
+    "kind": "sweep", "tau": 1.0, "kernel": PAPER_KERNEL, "target": PAPER_TARGET,
+    "lambda_inv": [0.0, 10.0], "epsilon": [0.1], "two_s": [1], "grid_steps": 16,
+    "refine_steps": 0,
+}
+SMALL_MAGNUS = {
+    "kind": "magnus-check", "tau": 1.0, "paths": 1, "epsilon": [0.1], "grid_steps": 20, "seed": 4,
 }
 
 
@@ -64,6 +80,55 @@ class TestValidateConfig:
         parsed = validate_config(json.dumps(cfg))
         assert isinstance(parsed, RunConfig)
         assert json.loads(json.dumps(parsed.echo)) == cfg
+
+    @pytest.mark.parametrize(
+        "base, overrides",
+        [
+            (SMALL_MC, {"epsilon": [math.nan]}),
+            (SMALL_MC, {"epsilon": [math.inf]}),
+            (SMALL_SWEEP, {"lambda_inv": [0.0, math.nan]}),
+            (SMALL_MC, {"kernel": dict(PAPER_KERNEL, axis=[1.0, None, 0.0])}),
+            (SMALL_MC, {"kernel": {"type": "diagonal_constant", "kappa": [0.1, None, 0.1]}}),
+            (SMALL_MC, {"target": dict(PAPER_TARGET, axis=[1.0, 0.0, None])}),
+            (SMALL_MC, {"seed": -1}),
+            (SMALL_MAGNUS, {"seed": -1}),
+            (SMALL_MAGNUS, {"tau": 10**400}),
+        ],
+        ids=["nan-epsilon", "inf-epsilon", "nan-ladder", "null-kernel-axis", "null-kappa",
+             "null-target-axis", "negative-seed-mc", "negative-seed-magnus", "int-beyond-float"],
+    )
+    def test_bad_value_is_config_error(self, tmp_path, monkeypatch, capsys, base, overrides):
+        # Each rule applies to a scalar and to every list entry alike, a
+        # number must be finite as a float, and seed must be a Philox key in
+        # [0, 2**128).
+        monkeypatch.setenv("SPINCTL_OUT", str(tmp_path / "out"))
+        cfg = dict(base, **overrides)
+        assert main([cfg["kind"], str(write_config(tmp_path, cfg))]) == 1
+        err = capsys.readouterr().err
+        assert "config error: " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "cfg, key",
+        [
+            (dict(SMALL_MAGNUS, kernel=PAPER_KERNEL), "kernel"),
+            ({"kind": "kernel-table", "tau": 1.0, "kernel": PAPER_KERNEL, "epsilon": [0.1]},
+             "epsilon"),
+            (dict(SMALL_MC, refine_steps=0), "refine_steps"),
+        ],
+    )
+    def test_key_unused_by_kind_rejected(self, cfg, key):
+        with pytest.raises(ConfigError) as err:
+            validate_config(json.dumps(cfg))
+        assert err.value.diagnostics == [f"field '{key}' is not used by kind '{cfg['kind']}'"]
+
+    def test_readme_example_validates(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        examples = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+        assert examples
+        for text in examples:
+            assert validate_config(text).echo == json.loads(text)
 
     def test_sweep_ladder_must_start_at_zero(self):
         cfg = {
@@ -262,3 +327,10 @@ class TestMainEntry:
         )
         assert main(["kernel-table", str(path), "--grid", "16"]) == 0
         assert (tmp_path / "out" / "kernel.csv").exists()
+
+    def test_grid_override_uses_grid_rule(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path, {"kind": "kernel-table", "tau": 1.0, "kernel": PAPER_KERNEL}
+        )
+        assert main(["kernel-table", str(path), "--grid", "1"]) == 1
+        assert "config error: --grid must be >= 2" in capsys.readouterr().err

@@ -17,11 +17,10 @@ from spinctl.noise import (
     OneOverF,
     assemble_covariance,
     exp_integral_e1,
-    kernel_eval,
     sample_paths,
     _path_normals,
 )
-from spinctl.optimizer import OptimizationProblem, _Workspace, dual_triad
+from spinctl.optimizer import OptimizationProblem, _Workspace
 
 mp.dps = 30
 
@@ -71,7 +70,7 @@ class TestExpIntegral:
 
 class TestKernelEval:
     def test_zero_lag_closed_form(self, paper_kernel):
-        got = kernel_eval(paper_kernel, 0.0)
+        got = paper_kernel.matrix(0.0)
         assert got[0, 0] == pytest.approx(8.0 * math.log(200.0), rel=1e-14)
         assert np.all(got[1:, :] == 0.0) and np.all(got[:, 1:] == 0.0)
 
@@ -80,23 +79,23 @@ class TestKernelEval:
             ref = 8.0 * quad(
                 lambda g: math.exp(-g * s) / g, 0.1, 20.0, epsrel=1e-13, limit=200
             )[0]
-            assert kernel_eval(paper_kernel, float(s))[0, 0] == pytest.approx(ref, rel=1e-8)
+            assert paper_kernel.matrix(float(s))[0, 0] == pytest.approx(ref, rel=1e-8)
 
     def test_monotone_decreasing(self, paper_kernel):
-        vals = [kernel_eval(paper_kernel, s)[0, 0] for s in np.linspace(0.0, 2.0, 40)]
+        vals = [paper_kernel.matrix(s)[0, 0] for s in np.linspace(0.0, 2.0, 40)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_long_lag_decay(self, paper_kernel):
         # gamma_lo * s >> 1 kills every mode
-        assert kernel_eval(paper_kernel, 400.0)[0, 0] < 1e-12
+        assert paper_kernel.matrix(400.0)[0, 0] < 1e-12
 
     def test_symmetry(self, paper_kernel):
-        m = kernel_eval(paper_kernel, 0.37)
+        m = paper_kernel.matrix(0.37)
         np.testing.assert_array_equal(m, m.T)
 
     def test_rotated_axis(self):
         k = OneOverF(2.0, 0.1, 10.0, axis=(1.0, 1.0, 0.0))
-        m = kernel_eval(k, 0.2)
+        m = k.matrix(0.2)
         a = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
         np.testing.assert_allclose(m, m[0, 0] / a[0] ** 2 * np.outer(a, a), atol=1e-12)
 
@@ -169,7 +168,7 @@ class TestSamplePaths:
         grid = TimeGrid(1.0, 24)
         count = 100_000
         out = sample_paths(paper_kernel, grid, count, seed=5)
-        sigma = math.sqrt(kernel_eval(paper_kernel, 0.0)[0, 0])
+        sigma = math.sqrt(paper_kernel.matrix(0.0)[0, 0])
         mean = np.mean(out.paths[:, 0, :], axis=0)
         assert np.max(np.abs(mean)) < 4.0 * sigma / math.sqrt(count)
 
@@ -278,7 +277,8 @@ class TestLagConvolution:
             kernel, lmats, grid.dt, _trapezoid_weights(grid.n_nodes, grid.dt), kink=False
         )
         _close(action_S(triad, kernel), nodal_s)
-        _close(dual_triad(triad, kernel).values, nodal)
+        conv = LagConvolution.nodes(kernel, grid)
+        _close(conv.dual(conv(conv.project(lmats))), nodal)
 
         # cell placement with the kink term: the solver's action and torque
         ws = _Workspace(
