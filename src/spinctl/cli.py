@@ -8,7 +8,8 @@ Subcommands::
     spinctl magnus-check <config.json>  ordered-exponential consistency table
     spinctl kernel-table <config.json>  kernel profile as CSV
 
-``--grid N`` overrides the config grid size; the environment variable
+``--grid N`` overrides the config grid size of a kind that reads
+``grid_steps`` (not ``kernel-table``); the environment variable
 SPINCTL_OUT overrides the output directory.  Outputs are deterministic for a
 fixed config and seed: CSV bodies are byte-identical across runs, and only
 the JSON report header carries wall-clock information.
@@ -34,10 +35,11 @@ from . import __version__
 from .errors import ConfigError, SpinctlError
 from .evolution import TargetRotation
 from .fidelity import SpinNumber, action_S, fidelity_weak, mc_fidelity_table
-from .magnus import TimeGrid, random_smooth_path, solve_m_ode, time_ordered_exp
+from .magnus import PurePath, TimeGrid, random_smooth_path, solve_m_ode_batch, time_ordered_exp
 from .noise import DiagonalConstant, NoiseKernel, OneOverF
 from .optimizer import (
     OptimizationProblem,
+    check_ladder,
     evaluate_deviation,
     refine_deviation,
     solve,
@@ -248,8 +250,11 @@ def validate_config(raw_text: str) -> RunConfig:
     lam = values.get("lambda_inv", ())
     if isinstance(lam, float):
         values["lambda_inv"] = (lam,)
-    elif lam and (lam[0] != 0.0 or any(b <= a for a, b in zip(lam, lam[1:]))):
-        diags.append("field 'lambda_inv' must start at 0 and increase strictly")
+    else:
+        try:
+            check_ladder(lam, "field 'lambda_inv'")
+        except ValueError as exc:
+            diags.append(str(exc))
     if diags:
         raise ConfigError(diags)
     return RunConfig(kind=kind, echo=cfg, **values)
@@ -282,12 +287,15 @@ def _run_kernel_table(config: RunConfig, out: Path):
 def _run_magnus_check(config: RunConfig, out: Path):
     grid = TimeGrid(config.tau, config.grid_steps)
     rng = np.random.default_rng(config.seed)
+    values = np.empty((config.paths, grid.n_nodes, 3))
+    for p in range(config.paths):
+        values[p] = random_smooth_path(grid, rng).values
+    m_tau = solve_m_ode_batch(values, config.epsilon, grid)
     rows = []
     for p in range(config.paths):
-        path = random_smooth_path(grid, rng)
-        for eps in config.epsilon:
-            m = solve_m_ode(path, eps)
-            ex = qexp(PureQuat.from_array(0.5 * eps * m.values[-1]))
+        path = PurePath(grid, values[p])
+        for eps, m in zip(config.epsilon, m_tau[p]):
+            ex = qexp(PureQuat.from_array(0.5 * eps * m))
             oracle = time_ordered_exp(path, eps)
             mismatch = math.sqrt(sum((a - b) ** 2 for a, b in zip(ex.wxyz(), oracle.wxyz())))
             rows.append([p, eps, grid.n_steps, mismatch])
@@ -493,6 +501,8 @@ def main(argv: list[str] | None = None) -> int:
             )
         if args.grid is not None:
             config = replace(config, grid_steps=_GRID(args.grid, "--grid"))
+            if "grid_steps" not in _TABLES[config.kind]:
+                raise ConfigError([f"--grid is not used by kind '{config.kind}'"])
     except ConfigError as exc:
         for d in exc.diagnostics:
             print(f"config error: {d}", file=sys.stderr)

@@ -18,11 +18,13 @@ class SingularCot(SpinctlError):
 
     The pole sits where the accumulated rotation angle hits a nonzero
     multiple of 2*pi; integration refuses rather than guessing a branch.
+    A batched integration names the offending ``lane`` as (path index, eps).
     """
 
-    def __init__(self, message, t_cross=None):
+    def __init__(self, message, t_cross=None, lane=None):
         super().__init__(message)
         self.t_cross = t_cross
+        self.lane = lane
 
 
 class UnsupportedOrder(SpinctlError):

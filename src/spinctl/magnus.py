@@ -8,7 +8,8 @@ rotation vector m(t).  This module provides:
   reduction (still the oracle discretization everything else is checked
   against),
 * ``solve_m_ode``      -- the exact first-order ODE for m(t), an all-orders
-  resummation of the perturbative (Magnus-type) series,
+  resummation of the perturbative (Magnus-type) series; ``solve_m_ode_batch``
+  steps many (path, eps) lanes of it together,
 * ``magnus_term``      -- individual perturbative orders 0..2,
 * ``magnus_iterate``   -- fixed-point iteration of the exact equation,
 * ``bernoulli``        -- the Bernoulli numbers entering the series.
@@ -32,6 +33,7 @@ __all__ = [
     "PurePath",
     "time_ordered_exp",
     "solve_m_ode",
+    "solve_m_ode_batch",
     "n_of_m",
     "magnus_term",
     "magnus_iterate",
@@ -122,10 +124,13 @@ def ordered_exp_batch(values: np.ndarray, epsilon, dt: float) -> np.ndarray:
     """Ordered midpoint product for a batch of sampled fields.
 
     ``values`` has shape (batch, n_nodes, 3); returns unit quaternions of
-    shape (batch, 4).  Same discretization as ``time_ordered_exp``.
+    shape (batch, 4).  Same discretization as ``time_ordered_exp``.  The
+    step exponents are built in place inside the step array.
     """
-    eps = float(epsilon)
-    return qproduct(qexp_vec(0.25 * eps * dt * (values[:, :-1, :] + values[:, 1:, :])))
+    steps = np.empty(values.shape[:-2] + (values.shape[-2] - 1, 4))
+    v = np.add(values[:, :-1, :], values[:, 1:, :], out=steps[..., 1:])
+    v *= 0.25 * float(epsilon) * dt
+    return qproduct(qexp_vec(v, out=steps))
 
 
 # ---------------------------------------------------------------------------
@@ -143,38 +148,110 @@ _H_SERIES = (
 _H_SERIES_CUT2 = 0.25  # switch on y^2
 
 
+def _h_series(y2):
+    return _H_SERIES[0] + y2 * (_H_SERIES[1] + y2 * (_H_SERIES[2] + y2 * (_H_SERIES[3] + y2 * _H_SERIES[4])))
+
+
 def _h_of_y2(y2: float) -> float:
     """Smooth coefficient h(y) = (1 - (y/2) cot(y/2)) / y^2, h(0) = 1/12."""
     if y2 < _H_SERIES_CUT2:
-        return (
-            _H_SERIES[0]
-            + y2 * (_H_SERIES[1] + y2 * (_H_SERIES[2] + y2 * (_H_SERIES[3] + y2 * _H_SERIES[4])))
-        )
+        return _h_series(y2)
     y = math.sqrt(y2)
     return (1.0 - 0.5 * y / math.tan(0.5 * y)) / y2
 
 
-def _check_cot_guard(y: float, t: float):
+def _h_of_y2_lanes(y2: np.ndarray) -> np.ndarray:
+    """``_h_of_y2`` of every entry, with its bits.
+
+    The series runs on the whole array; entries past the cut take the
+    scalar tangent branch one by one, because ``np.tan`` and ``math.tan``
+    differ in the last bit.
+    """
+    h = _h_series(y2)
+    far = y2 >= _H_SERIES_CUT2
+    if np.count_nonzero(far):
+        h[far] = [_h_of_y2(v) for v in y2[far].tolist()]
+    return h
+
+
+def _check_cot_guard(y: float, t: float, lane=None):
     if y > math.pi:
         k = round(y / (2.0 * math.pi))
         if k >= 1 and abs(y - 2.0 * math.pi * k) < COT_GUARD_BAND:
+            where = "" if lane is None else f" in lane (path {lane[0]}, eps {lane[1]:g})"
             raise SingularCot(
-                f"eps*|m| = {y:.6f} entered the guard band around 2*pi*{k} near t = {t:.6g}; "
+                f"eps*|m| = {y:.6f} entered the guard band around 2*pi*{k}{where} near t = {t:.6g}; "
                 "refine the grid or reduce epsilon",
                 t_cross=t,
+                lane=lane,
             )
 
 
-def _interval_midpoints(v: np.ndarray) -> np.ndarray:
-    """Cubic (4-point) interpolation of node samples at interval midpoints."""
-    n_nodes = v.shape[0]
-    if n_nodes < 4:
-        return 0.5 * (v[:-1] + v[1:])
-    mids = np.empty((n_nodes - 1, v.shape[1]))
-    mids[1:-1] = (-v[:-3] + 9.0 * v[1:-2] + 9.0 * v[2:-1] - v[3:]) / 16.0
-    mids[0] = (5.0 * v[0] + 15.0 * v[1] - 5.0 * v[2] + v[3]) / 16.0
-    mids[-1] = (v[-4] - 5.0 * v[-3] + 15.0 * v[-2] + 5.0 * v[-1]) / 16.0
+def _interval_midpoints(v: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Cubic (4-point) interpolation of node samples (axis 0) at interval midpoints.
+
+    Returns the midpoints of intervals lo..hi-1, all intervals by default.
+    """
+    n_int = v.shape[0] - 1
+    hi = n_int if hi is None else hi
+    if n_int < 3:
+        return 0.5 * (v[lo:hi] + v[lo + 1 : hi + 1])
+    mids = np.empty((hi - lo,) + v.shape[1:])
+    a, b = max(lo, 1), min(hi, n_int - 1)  # interior intervals of the chunk
+    if a < b:
+        mids[a - lo : b - lo] = (-v[a - 1 : b - 1] + 9.0 * v[a:b] + 9.0 * v[a + 1 : b + 1] - v[a + 2 : b + 2]) / 16.0
+    if lo == 0:
+        mids[0] = (5.0 * v[0] + 15.0 * v[1] - 5.0 * v[2] + v[3]) / 16.0
+    if hi == n_int:
+        mids[-1] = (v[-4] - 5.0 * v[-3] + 15.0 * v[-2] + 5.0 * v[-1]) / 16.0
     return mids
+
+
+def _rk4_m(steps, eps, dt: float, h_of_y2):
+    """Classic RK4 for the rotation-vector equation from m(0) = 0; yields m after each step.
+
+    ``steps`` yields the field at the start, midpoint and end of each step as
+    three (x, y, z) triples.  The components and ``eps`` are floats for one
+    lane, or same-shape arrays for lanes stepped together, and ``h_of_y2``
+    takes the same type.  Every lane sees the same arithmetic in the same
+    order, so a lane stepped in a batch has the bits of its one-lane run.
+    """
+    half_eps = 0.5 * eps
+    eps2 = eps * eps
+
+    def rhs(nx, ny, nz, mx, my, mz):
+        cx = my * nz - mz * ny
+        cy = mz * nx - mx * nz
+        cz = mx * ny - my * nx
+        m2 = mx * mx + my * my + mz * mz
+        h = h_of_y2(eps2 * m2)
+        mdotn = mx * nx + my * ny + mz * nz
+        # m x (m x n) = m (m.n) - n |m|^2
+        f = eps2 * h
+        return (
+            nx - half_eps * cx + f * (mx * mdotn - nx * m2),
+            ny - half_eps * cy + f * (my * mdotn - ny * m2),
+            nz - half_eps * cz + f * (mz * mdotn - nz * m2),
+        )
+
+    mx = my = mz = 0.0
+    h2 = 0.5 * dt
+    h6 = dt / 6.0
+    for (n0x, n0y, n0z), (nmx, nmy, nmz), (n1x, n1y, n1z) in steps:
+        k1 = rhs(n0x, n0y, n0z, mx, my, mz)
+        k2 = rhs(nmx, nmy, nmz, mx + h2 * k1[0], my + h2 * k1[1], mz + h2 * k1[2])
+        k3 = rhs(nmx, nmy, nmz, mx + h2 * k2[0], my + h2 * k2[1], mz + h2 * k2[2])
+        k4 = rhs(n1x, n1y, n1z, mx + dt * k3[0], my + dt * k3[1], mz + dt * k3[2])
+        mx = mx + h6 * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
+        my = my + h6 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
+        mz = mz + h6 * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
+        yield mx, my, mz
+
+
+def _float_steps(values: np.ndarray):
+    """Field at the start, midpoint and end of each step of one path, as floats."""
+    pts = values.tolist()
+    return zip(pts, _interval_midpoints(values).tolist(), pts[1:])
 
 
 def solve_m_ode(n: PurePath, epsilon) -> PurePath:
@@ -193,49 +270,74 @@ def solve_m_ode(n: PurePath, epsilon) -> PurePath:
         the continuation ambiguous.
     """
     eps = float(epsilon)
-    v = n.values
-    dt = n.grid.dt
-    nodes = n.grid.nodes
-    mids = _interval_midpoints(v)
-    half_eps = 0.5 * eps
-    eps2 = eps * eps
-
-    def rhs(nx, ny, nz, mx, my, mz):
-        cx = my * nz - mz * ny
-        cy = mz * nx - mx * nz
-        cz = mx * ny - my * nx
-        m2 = mx * mx + my * my + mz * mz
-        h = _h_of_y2(eps2 * m2)
-        mdotn = mx * nx + my * ny + mz * nz
-        # m x (m x n) = m (m.n) - n |m|^2
-        f = eps2 * h
-        return (
-            nx - half_eps * cx + f * (mx * mdotn - nx * m2),
-            ny - half_eps * cy + f * (my * mdotn - ny * m2),
-            nz - half_eps * cz + f * (mz * mdotn - nz * m2),
-        )
-
-    out = np.empty_like(v)
-    out[0] = 0.0
-    mx = my = mz = 0.0
-    h2 = 0.5 * dt
-    h6 = dt / 6.0
-    pts = v.tolist()
-    midl = mids.tolist()
-    for k in range(v.shape[0] - 1):
-        n0x, n0y, n0z = pts[k]
-        nmx, nmy, nmz = midl[k]
-        n1x, n1y, n1z = pts[k + 1]
-        k1 = rhs(n0x, n0y, n0z, mx, my, mz)
-        k2 = rhs(nmx, nmy, nmz, mx + h2 * k1[0], my + h2 * k1[1], mz + h2 * k1[2])
-        k3 = rhs(nmx, nmy, nmz, mx + h2 * k2[0], my + h2 * k2[1], mz + h2 * k2[2])
-        k4 = rhs(n1x, n1y, n1z, mx + dt * k3[0], my + dt * k3[1], mz + dt * k3[2])
-        mx += h6 * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-        my += h6 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-        mz += h6 * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
-        _check_cot_guard(eps * math.sqrt(mx * mx + my * my + mz * mz), nodes[k + 1])
-        out[k + 1] = (mx, my, mz)
+    out = [(0.0, 0.0, 0.0)]
+    run = _rk4_m(_float_steps(n.values), eps, n.grid.dt, _h_of_y2)
+    for t, m in zip(n.grid.nodes[1:].tolist(), run):
+        mx, my, mz = m
+        _check_cot_guard(eps * math.sqrt(mx * mx + my * my + mz * mz), t)
+        out.append(m)
     return PurePath(n.grid, out)
+
+
+_CHUNK_STEPS = 256  # steps whose field samples are expanded to lane shape at once
+# Below this many lanes, per-step numpy dispatch costs more than stepping
+# each lane on Python floats.
+_ARRAY_MIN_LANES = 24
+
+
+def _array_steps(v: np.ndarray, n_eps: int):
+    """Per-step field triples of (n_nodes, 3, paths) samples, as (3, paths * n_eps) lane arrays."""
+    n_steps, n_paths = v.shape[0] - 1, v.shape[2]
+    for lo in range(0, n_steps, _CHUNK_STEPS):
+        hi = min(lo + _CHUNK_STEPS, n_steps)
+        nodes = np.empty((hi - lo + 1, 3, n_paths, n_eps))
+        nodes[...] = v[lo : hi + 1, :, :, None]
+        mids = np.empty((hi - lo, 3, n_paths, n_eps))
+        mids[...] = _interval_midpoints(v, lo, hi)[..., None]
+        nodes, mids = nodes.reshape(hi - lo + 1, 3, -1), mids.reshape(hi - lo, 3, -1)
+        for j in range(hi - lo):
+            yield nodes[j], mids[j], nodes[j + 1]
+
+
+def solve_m_ode_batch(values: np.ndarray, epsilons, grid: TimeGrid) -> np.ndarray:
+    """m(tau) of ``solve_m_ode`` for every (path, eps) lane, all stepped together.
+
+    ``values`` has shape (paths, grid.n_nodes, 3), as for
+    ``ordered_exp_batch``; returns shape (paths, len(epsilons), 3).  Every
+    step of the one RK4 body advances all lanes: as component arrays over
+    the lanes, or, for fewer than ``_ARRAY_MIN_LANES`` lanes, as one float
+    run per lane in lockstep.  Either way lane (p, e) has the bits of
+    ``solve_m_ode(path p, epsilons[e]).values[-1]``.  The field is expanded
+    to lane shape one chunk of steps at a time, so the working set beyond
+    ``values`` is O(chunk * lanes).
+
+    Raises
+    ------
+    SingularCot
+        At the first step where any lane enters the guard band; ``lane`` is
+        (path index, eps) of the first such lane in row order.
+    """
+    values = np.asarray(values, dtype=float)
+    eps = [float(e) for e in epsilons]
+    lanes = [(p, e) for p in range(len(values)) for e in eps]  # row order
+    t_nodes = grid.nodes[1:].tolist()
+    if len(lanes) < _ARRAY_MIN_LANES:
+        runs = zip(*(_rk4_m(_float_steps(values[p]), e, grid.dt, _h_of_y2) for p, e in lanes))
+        ms = ()
+        for t, ms in zip(t_nodes, runs):
+            for lane, (mx, my, mz) in zip(lanes, ms):
+                _check_cot_guard(lane[1] * math.sqrt(mx * mx + my * my + mz * mz), t, lane)
+        return np.array(ms).reshape(len(values), len(eps), 3)
+    lane_eps = np.array([e for _, e in lanes])
+    v = values.transpose(1, 2, 0)  # (n_nodes, 3, paths) view
+    run = _rk4_m(_array_steps(v, len(eps)), lane_eps, grid.dt, _h_of_y2_lanes)
+    for t, (mx, my, mz) in zip(t_nodes, run):
+        y = lane_eps * np.sqrt(mx * mx + my * my + mz * mz)
+        hot = y > math.pi
+        if np.count_nonzero(hot):
+            for i in np.flatnonzero(hot):
+                _check_cot_guard(float(y[i]), t, lanes[i])
+    return np.stack([mx, my, mz], axis=-1).reshape(len(values), len(eps), 3)
 
 
 def _central_diff(v: np.ndarray, dt: float) -> np.ndarray:
@@ -359,7 +461,7 @@ def magnus_iterate(n: PurePath, epsilon, iterations: int) -> MagnusIterateResult
     grew = 0
     for _ in range(iterations):
         m2 = np.sum(cur * cur, axis=1)
-        h = np.array([_h_of_y2(y2) for y2 in eps2 * m2])
+        h = _h_of_y2_lanes(eps2 * m2)
         mdotn = np.sum(cur * v, axis=1)
         rhs = (
             v

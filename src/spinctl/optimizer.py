@@ -35,6 +35,7 @@ from .quat import cross3, qexp_vec, qprefix, quat_to_matrix
 
 __all__ = [
     "Tolerances",
+    "check_ladder",
     "OptimizationProblem",
     "ControlSolution",
     "SweepPoint",
@@ -59,6 +60,12 @@ class Tolerances:
     bc_tol: float = 1e-6
     el_tol: float = 1e-4
     step_tol: float = 1e-10
+
+
+def check_ladder(values, name: str):
+    """Raise ValueError unless a lambda_inv ladder is empty or starts at 0 and increases strictly."""
+    if values and (values[0] != 0.0 or any(b <= a for a, b in zip(values, values[1:]))):
+        raise ValueError(f"{name} must start at 0 and increase strictly")
 
 
 @dataclass(frozen=True)
@@ -87,8 +94,7 @@ class OptimizationProblem:
         if self.lambda_inv < 0.0 or not math.isfinite(self.lambda_inv):
             raise ValueError("lambda_inv must be finite and >= 0")
         cont = tuple(float(v) for v in self.continuation)
-        if cont and (cont[0] != 0.0 or any(b <= a for a, b in zip(cont, cont[1:]))):
-            raise ValueError("continuation must start at 0 and increase strictly")
+        check_ladder(cont, "continuation")
         object.__setattr__(self, "continuation", cont)
 
 

@@ -296,16 +296,32 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
-def qexp_vec(v: np.ndarray) -> np.ndarray:
-    """Batched exponential of pure quaternions (..., 3) -> unit (..., 4)."""
+def qexp_vec(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Batched exponential of pure quaternions (..., 3) -> unit (..., 4).
+
+    ``out`` (..., 4) receives the result; ``v`` may be ``out[..., 1:]``
+    itself, so a caller can build the exponents in place.  Temporaries are
+    scalar fields (...,), a quarter of the result each.
+    """
     v = np.asarray(v, dtype=float)
-    theta = np.sqrt(np.sum(v * v, axis=-1))
-    t2 = theta * theta
+    if out is None:
+        out = np.empty(v.shape[:-1] + (4,))
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    theta, s = np.empty(v.shape[:-1]), np.empty(v.shape[:-1])
+    np.multiply(v0, v0, out=theta)
+    theta += v1 * v1
+    theta += v2 * v2  # the order of np.sum over a length-3 axis
+    np.sqrt(theta, out=theta)
     small = theta < _EXP_SERIES_CUT
-    with np.errstate(invalid="ignore", divide="ignore"):
-        s = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(theta) / np.where(theta == 0.0, 1.0, theta))
-    w = np.cos(theta)
-    return np.concatenate([w[..., None], s[..., None] * v], axis=-1)
+    with np.errstate(invalid="ignore"):
+        np.sin(theta, out=s)
+    np.divide(s, theta, out=s, where=~small)
+    if small.any():
+        t2 = theta[small] * theta[small]
+        s[small] = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
+    np.cos(theta, out=out[..., 0])
+    np.multiply(v, s[..., None], out=out[..., 1:])
+    return out
 
 
 def _normalize_wxyz(a: np.ndarray) -> np.ndarray:

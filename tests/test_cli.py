@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinctl import fidelity
+from spinctl import fidelity, magnus
 from spinctl.cli import RunConfig, main, run, validate_config
 from spinctl.errors import ConfigError
+from spinctl.magnus import TimeGrid, random_smooth_path, solve_m_ode, time_ordered_exp
+from spinctl.quat import PureQuat, qexp
 
 PAPER_KERNEL = {"type": "one_over_f", "xi": 8.0, "gamma_lo": 0.1, "gamma_hi": 20.0}
 PAPER_TARGET = {
@@ -140,6 +142,16 @@ class TestValidateConfig:
         assert any("start at 0" in d for d in err.value.diagnostics)
 
 
+    def test_sweep_ladder_must_increase(self):
+        cfg = {
+            "kind": "sweep", "tau": 1.0, "kernel": PAPER_KERNEL, "target": PAPER_TARGET,
+            "lambda_inv": [0.0, 10.0, 10.0], "epsilon": [0.1], "two_s": [1],
+        }
+        with pytest.raises(ConfigError) as err:
+            validate_config(json.dumps(cfg))
+        assert err.value.diagnostics == ["field 'lambda_inv' must start at 0 and increase strictly"]
+
+
 class TestKernelTable:
     def test_zero_lag_row(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPINCTL_OUT", str(tmp_path / "out"))
@@ -250,6 +262,30 @@ class TestMagnusCheck:
         assert lines[0] == "path_index,epsilon,n_steps,mismatch"
         assert len(lines) == 1 + 3 * 2
 
+    @pytest.mark.parametrize("array_lanes", [True, False])
+    def test_rows_equal_row_by_row_computation(self, tmp_path, monkeypatch, array_lanes):
+        if array_lanes:  # 9 lanes would otherwise run as float lanes
+            monkeypatch.setattr(magnus, "_ARRAY_MIN_LANES", 0)
+        monkeypatch.setenv("SPINCTL_OUT", str(tmp_path / "out"))
+        cfg = {
+            "kind": "magnus-check", "tau": 1.0, "paths": 3,
+            "epsilon": [0.0, 0.5, 1.0], "grid_steps": 2000, "seed": 9,
+        }
+        report = run(validate_config(json.dumps(cfg)))
+        grid = TimeGrid(1.0, 2000)
+        rng = np.random.default_rng(9)
+        expect = []
+        for p in range(3):
+            path = random_smooth_path(grid, rng)
+            for eps in cfg["epsilon"]:
+                m = solve_m_ode(path, eps).values[-1]
+                ex = qexp(PureQuat.from_array(0.5 * eps * m)).wxyz()
+                oracle = time_ordered_exp(path, eps).wxyz()
+                expect.append(math.sqrt(sum((a - b) ** 2 for a, b in zip(ex, oracle))))
+        assert [row["mismatch"] for row in report.rows] == expect
+        lines = (tmp_path / "out" / "magnus.csv").read_text().splitlines()
+        assert [line.split(",")[3] for line in lines[1:]] == [f"{x:.12g}" for x in expect]
+
 
 class TestSweepAndSolve:
     def test_drift_only_sweep(self, tmp_path, monkeypatch):
@@ -321,12 +357,20 @@ class TestMainEntry:
 
     def test_grid_override(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SPINCTL_OUT", str(tmp_path / "out"))
+        path = write_config(tmp_path, SMALL_MAGNUS)
+        assert main(["magnus-check", str(path), "--grid", "16"]) == 0
+        lines = (tmp_path / "out" / "magnus.csv").read_text().splitlines()
+        assert lines[1].split(",")[2] == "16"
+
+    def test_grid_rejected_where_unused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SPINCTL_OUT", str(tmp_path / "out"))
         path = write_config(
             tmp_path,
             {"kind": "kernel-table", "tau": 1.0, "kernel": PAPER_KERNEL, "table_points": 5},
         )
-        assert main(["kernel-table", str(path), "--grid", "16"]) == 0
-        assert (tmp_path / "out" / "kernel.csv").exists()
+        assert main(["kernel-table", str(path), "--grid", "16"]) == 1
+        assert "config error: --grid is not used by kind 'kernel-table'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_grid_override_uses_grid_rule(self, tmp_path, capsys):
         path = write_config(

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from spinctl import magnus
 from spinctl.errors import NonConvergence, SingularCot, UnsupportedOrder
 from spinctl.magnus import (
     PurePath,
@@ -15,6 +16,7 @@ from spinctl.magnus import (
     ordered_exp_batch,
     random_smooth_path,
     solve_m_ode,
+    solve_m_ode_batch,
     time_ordered_exp,
 )
 from spinctl.quat import PureQuat, qexp
@@ -146,6 +148,55 @@ class TestSolveMOde:
         assert err.value.t_cross == pytest.approx(2.0 * math.pi / 7.0, abs=0.02)
 
 
+@pytest.fixture(params=["array", "float"])
+def lane_mode(request, monkeypatch):
+    """Step batch lanes as numpy component arrays or as lockstep float runs."""
+    monkeypatch.setattr(magnus, "_ARRAY_MIN_LANES", 0 if request.param == "array" else 10**9)
+    return request.param
+
+
+class TestSolveMOdeBatch:
+    def test_lanes_match_solve_m_ode_bit_for_bit(self, lane_mode):
+        # tau = 20 lets eps*|m| pass 1/2, where h(y) leaves its series for the
+        # tangent branch; eps = 0 and the weak paths stay on the series.
+        grid = TimeGrid(20.0, 900)
+        rng = np.random.default_rng(31)
+        paths = [random_smooth_path(grid, rng, amplitude=a) for a in (0.02, 0.1, 0.2)]
+        epsilons = [0.0, 1.0, 4.0]
+        batch = solve_m_ode_batch(np.stack([p.values for p in paths]), epsilons, grid)
+        assert batch.shape == (3, 3, 3)
+        y2_max = []
+        for p, path in enumerate(paths):
+            for e, eps in enumerate(epsilons):
+                m = solve_m_ode(path, eps).values
+                assert np.array_equal(batch[p, e], m[-1]), (p, eps)
+                y2_max.append(eps * eps * np.max(np.sum(m * m, axis=1)))
+        assert min(y2_max) < magnus._H_SERIES_CUT2 < max(y2_max)
+
+    def test_singular_cot_names_lane(self, lane_mode):
+        # constant fields of strength 0.1, 1 and 1.2 along x: eps*|m| = eps*c*t
+        grid = TimeGrid(1.0, 400)
+        const = np.zeros((grid.n_nodes, 3))
+        const[:, 0] = 1.0
+        values = np.stack([0.1 * const, const, 1.2 * const])
+        with pytest.raises(SingularCot) as err:
+            solve_m_ode_batch(values, [0.5, 7.0], grid)
+        assert err.value.lane == (2, 7.0)
+        assert "path 2, eps 7" in str(err.value)
+        with pytest.raises(SingularCot) as alone:
+            solve_m_ode(PurePath(grid, values[2]), 7.0)
+        assert err.value.t_cross == alone.value.t_cross
+        assert err.value.t_cross == pytest.approx((2.0 * math.pi - 0.05) / 8.4, abs=2.0 * grid.dt)
+
+    @pytest.mark.parametrize("n_steps", [2, 3, 4, 9, 600])
+    def test_chunked_midpoints_match_whole(self, n_steps):
+        v = np.random.default_rng(n_steps).normal(size=(n_steps + 1, 3, 2))
+        whole = magnus._interval_midpoints(v)
+        for lo, hi in [(0, n_steps), (0, 1), (n_steps - 1, n_steps), (1, n_steps - 1)]:
+            if lo < hi:
+                assert np.array_equal(magnus._interval_midpoints(v, lo, hi), whole[lo:hi])
+
+
 class TestNOfM:
     def test_linear_history(self):
         grid = TimeGrid(1.0, 400)
@@ -270,6 +321,27 @@ class TestMagnusIterate:
         res = magnus_iterate(n, 0.5, 12)
         ode = solve_m_ode(n, 0.5)
         assert np.max(np.abs(res.path.values - ode.values)) < 1e-6
+
+    def test_tan_branch_iterate_bit_identical(self):
+        # a per-entry scalar h is the reference; eps*|m| passes 1/2 here
+        grid = TimeGrid(3.0, 500)
+        n = random_smooth_path(grid, np.random.default_rng(3), amplitude=0.5)
+        eps, v = 1.5, n.values
+        cur = magnus._cumtrapz(v, grid.dt)
+        for _ in range(8):
+            m2 = np.sum(cur * cur, axis=1)
+            y2 = eps * eps * m2
+            h = np.array([magnus._h_of_y2(x) for x in y2])
+            assert np.array_equal(magnus._h_of_y2_lanes(y2), h)
+            mdotn = np.sum(cur * v, axis=1)
+            rhs = (
+                v
+                - 0.5 * eps * np.cross(cur, v)
+                + (eps * eps * h)[:, None] * (cur * mdotn[:, None] - v * m2[:, None])
+            )
+            cur = magnus._cumtrapz(rhs, grid.dt)
+        assert np.max(y2) > magnus._H_SERIES_CUT2
+        assert np.array_equal(magnus_iterate(n, eps, 8).path.values, cur)
 
     def test_nonconvergence_detected(self):
         grid = TimeGrid(1.0, 400)

@@ -219,6 +219,11 @@ class TestSolveCertificates:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("ladder", [(10.0, 20.0), (0.0, 10.0, 10.0), (0.0, 20.0, 10.0)])
+    def test_bad_ladder_rejected(self, paper_kernel, paper_target, ladder):
+        with pytest.raises(ValueError, match="^continuation must start at 0 and increase strictly$"):
+            paper_problem(paper_kernel, paper_target, n_steps=16, lambda_inv=0.0, continuation=ladder)
+
     def test_single_point_sweep_is_drift(self, paper_kernel, paper_target):
         problem = paper_problem(
             paper_kernel, paper_target, n_steps=128, lambda_inv=0.0, continuation=(0.0,)

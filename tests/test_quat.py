@@ -261,6 +261,17 @@ class TestArrayHelpers:
             np.testing.assert_allclose(units[k], quat_tuple(u), atol=1e-14)
 
 
+    def test_exp_in_place_matches_fresh(self):
+        rng = np.random.default_rng(16)
+        vecs = rng.normal(scale=0.7, size=(5, 257, 3))
+        vecs[0, :3] = [[0.0, 0.0, 0.0], [1e-9, 0.0, 0.0], [0.0, 2e-7, 1e-7]]
+        out = np.empty((5, 257, 4))
+        out[..., 1:] = vecs
+        assert qexp_vec(out[..., 1:], out=out) is out
+        np.testing.assert_array_equal(out, qexp_vec(vecs))
+        np.testing.assert_array_equal(out[0, 0], [1.0, 0.0, 0.0, 0.0])
+        assert qexp_vec(np.array([0.3, 0.0, 0.4])).shape == (4,)
+
     @pytest.mark.parametrize(
         "shape_a, shape_b",
         [((511, 3), (511, 3)), ((1, 1, 3), (4, 511, 3)), ((3,), (7, 3))],
