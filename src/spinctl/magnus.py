@@ -280,9 +280,6 @@ def solve_m_ode(n: PurePath, epsilon) -> PurePath:
 
 
 _CHUNK_STEPS = 256  # steps whose field samples are expanded to lane shape at once
-# Below this many lanes, per-step numpy dispatch costs more than stepping
-# each lane on Python floats.
-_ARRAY_MIN_LANES = 24
 
 
 def _array_steps(v: np.ndarray, n_eps: int):
@@ -304,9 +301,8 @@ def solve_m_ode_batch(values: np.ndarray, epsilons, grid: TimeGrid) -> np.ndarra
 
     ``values`` has shape (paths, grid.n_nodes, 3), as for
     ``ordered_exp_batch``; returns shape (paths, len(epsilons), 3).  Every
-    step of the one RK4 body advances all lanes: as component arrays over
-    the lanes, or, for fewer than ``_ARRAY_MIN_LANES`` lanes, as one float
-    run per lane in lockstep.  Either way lane (p, e) has the bits of
+    step of the one RK4 body advances all lanes as component arrays over
+    the lanes, and lane (p, e) has the bits of
     ``solve_m_ode(path p, epsilons[e]).values[-1]``.  The field is expanded
     to lane shape one chunk of steps at a time, so the working set beyond
     ``values`` is O(chunk * lanes).
@@ -318,20 +314,16 @@ def solve_m_ode_batch(values: np.ndarray, epsilons, grid: TimeGrid) -> np.ndarra
         (path index, eps) of the first such lane in row order.
     """
     values = np.asarray(values, dtype=float)
+    if values.ndim != 3 or values.shape[1:] != (grid.n_nodes, 3):
+        raise ValueError(f"values must have shape (paths, {grid.n_nodes}, 3), got {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("path values must be finite")
     eps = [float(e) for e in epsilons]
     lanes = [(p, e) for p in range(len(values)) for e in eps]  # row order
-    t_nodes = grid.nodes[1:].tolist()
-    if len(lanes) < _ARRAY_MIN_LANES:
-        runs = zip(*(_rk4_m(_float_steps(values[p]), e, grid.dt, _h_of_y2) for p, e in lanes))
-        ms = ()
-        for t, ms in zip(t_nodes, runs):
-            for lane, (mx, my, mz) in zip(lanes, ms):
-                _check_cot_guard(lane[1] * math.sqrt(mx * mx + my * my + mz * mz), t, lane)
-        return np.array(ms).reshape(len(values), len(eps), 3)
     lane_eps = np.array([e for _, e in lanes])
     v = values.transpose(1, 2, 0)  # (n_nodes, 3, paths) view
     run = _rk4_m(_array_steps(v, len(eps)), lane_eps, grid.dt, _h_of_y2_lanes)
-    for t, (mx, my, mz) in zip(t_nodes, run):
+    for t, (mx, my, mz) in zip(grid.nodes[1:].tolist(), run):
         y = lane_eps * np.sqrt(mx * mx + my * my + mz * mz)
         hot = y > math.pi
         if np.count_nonzero(hot):

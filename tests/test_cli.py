@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinctl import fidelity, magnus
+from spinctl import fidelity
 from spinctl.cli import RunConfig, main, run, validate_config
 from spinctl.errors import ConfigError
 from spinctl.magnus import TimeGrid, random_smooth_path, solve_m_ode, time_ordered_exp
@@ -141,7 +141,6 @@ class TestValidateConfig:
             validate_config(json.dumps(cfg))
         assert any("start at 0" in d for d in err.value.diagnostics)
 
-
     def test_sweep_ladder_must_increase(self):
         cfg = {
             "kind": "sweep", "tau": 1.0, "kernel": PAPER_KERNEL, "target": PAPER_TARGET,
@@ -262,10 +261,7 @@ class TestMagnusCheck:
         assert lines[0] == "path_index,epsilon,n_steps,mismatch"
         assert len(lines) == 1 + 3 * 2
 
-    @pytest.mark.parametrize("array_lanes", [True, False])
-    def test_rows_equal_row_by_row_computation(self, tmp_path, monkeypatch, array_lanes):
-        if array_lanes:  # 9 lanes would otherwise run as float lanes
-            monkeypatch.setattr(magnus, "_ARRAY_MIN_LANES", 0)
+    def test_rows_equal_row_by_row_computation(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPINCTL_OUT", str(tmp_path / "out"))
         cfg = {
             "kind": "magnus-check", "tau": 1.0, "paths": 3,

@@ -148,15 +148,8 @@ class TestSolveMOde:
         assert err.value.t_cross == pytest.approx(2.0 * math.pi / 7.0, abs=0.02)
 
 
-@pytest.fixture(params=["array", "float"])
-def lane_mode(request, monkeypatch):
-    """Step batch lanes as numpy component arrays or as lockstep float runs."""
-    monkeypatch.setattr(magnus, "_ARRAY_MIN_LANES", 0 if request.param == "array" else 10**9)
-    return request.param
-
-
 class TestSolveMOdeBatch:
-    def test_lanes_match_solve_m_ode_bit_for_bit(self, lane_mode):
+    def test_lanes_match_solve_m_ode_bit_for_bit(self):
         # tau = 20 lets eps*|m| pass 1/2, where h(y) leaves its series for the
         # tangent branch; eps = 0 and the weak paths stay on the series.
         grid = TimeGrid(20.0, 900)
@@ -173,7 +166,7 @@ class TestSolveMOdeBatch:
                 y2_max.append(eps * eps * np.max(np.sum(m * m, axis=1)))
         assert min(y2_max) < magnus._H_SERIES_CUT2 < max(y2_max)
 
-    def test_singular_cot_names_lane(self, lane_mode):
+    def test_singular_cot_names_lane(self):
         # constant fields of strength 0.1, 1 and 1.2 along x: eps*|m| = eps*c*t
         grid = TimeGrid(1.0, 400)
         const = np.zeros((grid.n_nodes, 3))
@@ -187,6 +180,17 @@ class TestSolveMOdeBatch:
             solve_m_ode(PurePath(grid, values[2]), 7.0)
         assert err.value.t_cross == alone.value.t_cross
         assert err.value.t_cross == pytest.approx((2.0 * math.pi - 0.05) / 8.4, abs=2.0 * grid.dt)
+
+    @pytest.mark.parametrize("shape", [(2, 40, 3), (2, 42, 3), (41, 3), (2, 41, 2)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="values must have shape"):
+            solve_m_ode_batch(np.zeros(shape), [0.5], TimeGrid(1.0, 40))
+
+    def test_non_finite_rejected(self):
+        values = np.zeros((2, 41, 3))
+        values[1, 7, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            solve_m_ode_batch(values, [0.5], TimeGrid(1.0, 40))
 
     @pytest.mark.parametrize("n_steps", [2, 3, 4, 9, 600])
     def test_chunked_midpoints_match_whole(self, n_steps):

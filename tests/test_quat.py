@@ -28,6 +28,7 @@ from spinctl.quat import (
     rotate_vec,
     quat_to_matrix,
 )
+from spinctl.quat import _EXP_SERIES_CUT
 
 from conftest import quat_tuple
 
@@ -260,6 +261,27 @@ class TestArrayHelpers:
             u = qexp(PureQuat(*vecs[k]))
             np.testing.assert_allclose(units[k], quat_tuple(u), atol=1e-14)
 
+
+    @pytest.mark.parametrize("shape", [(3,), (511, 3), (5, 257, 3)])
+    def test_exp_matches_reference_formula_bit_for_bit(self, shape):
+        # the np.sum / np.where / concatenate form of the batched exponential
+        def reference(v):
+            theta = np.sqrt(np.sum(v * v, axis=-1))
+            t2 = theta * theta
+            small = theta < _EXP_SERIES_CUT
+            with np.errstate(invalid="ignore", divide="ignore"):
+                s = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(theta) / np.where(theta == 0.0, 1.0, theta))
+            return np.concatenate([np.cos(theta)[..., None], s[..., None] * v], axis=-1)
+
+        rng = np.random.default_rng(17)
+        vecs = rng.normal(scale=0.7, size=shape) * rng.choice([1e-9, 1e-6, 1.0, 5.0], size=shape[:-1] + (1,))
+        flat = vecs.reshape(-1, 3)
+        flat[0] = 0.0
+        flat[-1] = [1e-9, 0.0, 0.0]
+        if len(flat) > 2:
+            flat[1] = [0.0, 2e-7, 1e-7]
+            flat[2] = [_EXP_SERIES_CUT, 0.0, 0.0]
+        np.testing.assert_array_equal(qexp_vec(vecs), reference(vecs))
 
     def test_exp_in_place_matches_fresh(self):
         rng = np.random.default_rng(16)
