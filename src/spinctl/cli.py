@@ -312,10 +312,12 @@ def _run_mc_validate(config: RunConfig, out: Path):
     )
     sol = evaluate_deviation(problem, np.zeros((grid.n_nodes, 3))) if lam == 0.0 else solve(problem)
     s_val = action_S(sol.triad, config.kernel)
+    start = time.perf_counter()
     table = mc_fidelity_table(
         sol.triad, config.kernel, config.epsilon, [SpinNumber(ts) for ts in config.two_s],
         config.mc_samples, config.seed,
     )
+    samples_per_s = config.mc_samples / (time.perf_counter() - start)
     rows = [
         [
             eps, _spin_label(ts), s_val, est.analytic_prediction,
@@ -329,7 +331,9 @@ def _run_mc_validate(config: RunConfig, out: Path):
         ["epsilon", "s", "S_analytic", "F_analytic", "F_mc_real", "F_mc_imag", "std_err", "samples", "seed"],
         rows,
     )
-    return report_rows, {"S": s_val, "lambda_inv": lam}
+    return report_rows, {
+        "S": s_val, "lambda_inv": lam, "jitter": table[0][0].jitter, "samples_per_s": samples_per_s,
+    }
 
 
 def _solution_record(config, sol, refined):

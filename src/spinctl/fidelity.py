@@ -61,19 +61,24 @@ class SpinNumber:
 
 @dataclass(frozen=True)
 class FidelityEstimate:
-    """Monte Carlo fidelity: complex mean, standard error, analytic prediction."""
+    """Monte Carlo fidelity: complex mean, standard error, analytic prediction.
+
+    ``jitter`` is the diagonal jitter of the covariance factorization the
+    noise paths were drawn from (``noise.CovarianceOperator.jitter``).
+    """
 
     mean: complex
     std_error: float
     imag_std_error: float
     samples: int
     analytic_prediction: float
+    jitter: float
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.std_error < 0.0 or self.imag_std_error < 0.0:
-            raise ValueError("standard errors must be >= 0")
+        if self.std_error < 0.0 or self.imag_std_error < 0.0 or self.jitter < 0.0:
+            raise ValueError("standard errors and jitter must be >= 0")
 
 
 def action_S(triad: TriadPath, kernel: NoiseKernel) -> float:
@@ -157,7 +162,9 @@ def _amplitudes_from_half(a_half: np.ndarray, spin: SpinNumber) -> np.ndarray:
     return total / spin.multiplicity
 
 
-def _estimate(vals: np.ndarray, spin: SpinNumber, eps: float, S: float) -> FidelityEstimate:
+def _estimate(
+    vals: np.ndarray, spin: SpinNumber, eps: float, S: float, jitter: float
+) -> FidelityEstimate:
     """Compensated sample mean and standard error of one cell's amplitudes."""
     count = len(vals)
     mean = math.fsum(vals) / count
@@ -168,6 +175,7 @@ def _estimate(vals: np.ndarray, spin: SpinNumber, eps: float, S: float) -> Fidel
         imag_std_error=0.0,
         samples=count,
         analytic_prediction=fidelity_weak(spin, eps, S),
+        jitter=jitter,
     )
 
 
@@ -181,13 +189,14 @@ def mc_fidelity_table(
 ) -> list[list[FidelityEstimate]]:
     """Monte Carlo fidelity estimates for every (epsilon, spin) cell from one noise ensemble.
 
-    For each sampled lab-frame noise path n^i(t), the rotating-frame field
-    n(t) = n^i(t) E_i(t) is formed on the control triad, its ordered
-    exponential taken at each epsilon, and the scalar part lifted to every
-    requested spin.  The noise enters the spin-s amplitude only through the
-    spin-1/2 ordered exponential, and epsilon only through that product, so
-    the covariance is factorized once, each chunk of paths is drawn and
-    rotated once, and the ordered product runs once per (chunk, epsilon).
+    Each sampled noise path is sum_r xi_r(t) a_r over the kernel's terms, so
+    its rotating-frame field is n(t) = sum_r xi_r(t) E(t)^T a_r on the
+    control triad; its ordered exponential is taken at each epsilon and the
+    scalar part lifted to every requested spin.  The noise enters the
+    spin-s amplitude only through the spin-1/2 ordered exponential, and
+    epsilon only through that product, so each kernel term is factorized
+    once, each chunk of paths is drawn and rotated once, and the ordered
+    product runs once per (chunk, epsilon).
     Path p always draws from Philox substream p of the seed, so every cell
     is chunking-independent and equals a separate ``mc_fidelity`` call bit
     for bit.  Sample means use compensated summation.
@@ -203,11 +212,15 @@ def mc_fidelity_table(
         raise DegenerateSample("need at least 2 samples for a standard error")
     grid = triad.grid
     cov = assemble_covariance(kernel, grid)
+    # B_r[k] = E_k^T a_r: the rotating-frame image of kernel term r at node k.
+    proj = np.einsum("ri,kic->rkc", kernel.axes, triad.values)
 
     chunks = [[[] for _ in spins] for _ in epsilons]
     for start in range(0, count, _MC_CHUNK):
-        lab = sample_block(cov, seed, start, min(_MC_CHUNK, count - start))
-        rot = np.einsum("pik,kic->pkc", lab, triad.values)
+        xi = sample_block(cov, seed, start, min(_MC_CHUNK, count - start))
+        rot = xi[:, 0, :, None] * proj[0]
+        for r in range(1, len(proj)):
+            rot += xi[:, r, :, None] * proj[r]
         for row, eps in zip(chunks, epsilons):
             a_half = ordered_exp_batch(rot, eps, grid.dt)[:, 0]
             for cell, spin in zip(row, spins):
@@ -215,7 +228,7 @@ def mc_fidelity_table(
 
     S = action_S(triad, kernel)
     return [
-        [_estimate(np.concatenate(cell), spin, eps, S) for cell, spin in zip(row, spins)]
+        [_estimate(np.concatenate(cell), spin, eps, S, cov.jitter) for cell, spin in zip(row, spins)]
         for row, eps in zip(chunks, epsilons)
     ]
 

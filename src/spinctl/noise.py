@@ -8,10 +8,11 @@ structure as R fixed-axis scalar terms, N(s) = sum_r f_r(s) a_r a_r^T
 (``axes``, ``lag_profiles``, ``lag_slopes_at_zero``).  ``LagConvolution``
 applies those terms on a uniform grid by FFT with precomputed circulant
 spectra; it is the one quadrature of the action, the dual triad, the solver
-objective and its certificate.  Covariances are assembled densely on a
-uniform grid and factorized for sampling; sampling uses counter-based
-per-path substreams so draws are deterministic given the seed and
-parallelizable across paths.
+objective and its certificate.  For sampling, the noise is sum_r xi_r(t) a_r
+with independent scalar processes xi_r, so each term's n x n Toeplitz grid
+covariance is factorized on its own; sampling uses counter-based per-path
+substreams so draws are deterministic given the seed and parallelizable
+across paths.
 """
 
 from __future__ import annotations
@@ -30,20 +31,16 @@ __all__ = [
     "OneOverF",
     "DiagonalConstant",
     "LagConvolution",
-    "NoiseSampleSet",
     "CovarianceOperator",
     "exp_integral_e1",
     "assemble_covariance",
     "sample_block",
-    "sample_paths",
 ]
 
 _EULER_GAMMA = 0.5772156649015328606
 
-# Jitter escalation ladder, as fractions of the largest diagonal entry.
+# Jitter escalation ladder, as fractions of a term's diagonal entry.
 _JITTERS = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
-
-_SAMPLE_CHUNK = 4096
 
 
 def _e1_series(x: np.ndarray) -> np.ndarray:
@@ -281,10 +278,13 @@ class LagConvolution:
 
 @dataclass(frozen=True)
 class CovarianceOperator:
-    """Assembled grid covariance and its (jittered) Cholesky factor.
+    """Per-term grid covariances of a kernel and their (jittered) Cholesky factors.
 
-    Layout: row/column index = component * n_nodes + node, i.e. three
-    node-blocks for the x, y, z noise components.
+    Term r is a scalar process xi_r with the n_nodes x n_nodes Toeplitz
+    covariance f_r(|t_a - t_b|).  ``matrix`` holds the lag columns
+    f_r(j dt), shape (R, n_nodes); ``factor`` stacks the lower factors L_r
+    of the terms vertically, shape (R n_nodes, n_nodes); ``jitter`` is the
+    largest diagonal jitter added to any term.
     """
 
     kernel: NoiseKernel
@@ -298,67 +298,41 @@ class CovarianceOperator:
         self.factor.setflags(write=False)
 
 
-def assemble_covariance(kernel: NoiseKernel, grid: TimeGrid) -> CovarianceOperator:
-    """Build the (3 n_nodes)^2 covariance N_ij(|t_a - t_b|) and factorize it.
-
-    Cholesky is attempted with a diagonal jitter escalated from 0 through
-    1e-8 of the largest diagonal entry; an all-zero kernel short-circuits to
-    a zero factor.
-
-    Raises
-    ------
-    NotPSD
-        If every jitter level fails; the error carries an estimate of the
-        most negative eigenvalue.
-    """
-    n = grid.n_nodes
-    lags = grid.dt * np.arange(n)
-    prof = kernel.matrix_batch(lags)  # (n, 3, 3)
-    cov = np.empty((3 * n, 3 * n))
-    for i in range(3):
-        for j in range(3):
-            cov[i * n : (i + 1) * n, j * n : (j + 1) * n] = toeplitz(prof[:, i, j])
-    cov = 0.5 * (cov + cov.T)
-
-    max_diag = float(np.max(np.diag(cov)))
-    if max_diag == 0.0 and np.all(cov == 0.0):
-        zero = np.zeros_like(cov)
-        return CovarianceOperator(kernel, grid, cov, zero, 0.0)
-
-    eye = np.eye(3 * n)
+def _factor_term(col: np.ndarray, r: int) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of toeplitz(col) and the diagonal jitter it needed."""
+    if not np.any(col):
+        return np.zeros((len(col), len(col))), 0.0
+    block = toeplitz(col)
+    eye = np.eye(len(col))
     for jit in _JITTERS:
         try:
-            factor = np.linalg.cholesky(cov + (jit * max_diag) * eye)
+            return np.linalg.cholesky(block + (jit * col[0]) * eye), jit * col[0]
         except np.linalg.LinAlgError:
             continue
-        return CovarianceOperator(kernel, grid, cov, factor, jit * max_diag)
-
-    min_eig = float(np.linalg.eigvalsh(cov)[0])
+    min_eig = float(np.linalg.eigvalsh(block)[0])
     raise NotPSD(
-        f"covariance not positive semidefinite within jitter ladder; "
-        f"most negative eigenvalue ~ {min_eig:.3e}",
+        f"covariance of kernel term {r} not positive semidefinite within jitter "
+        f"ladder; most negative eigenvalue ~ {min_eig:.3e}",
         min_eigenvalue=min_eig,
     )
 
 
-@dataclass(frozen=True)
-class NoiseSampleSet:
-    """Zero-mean Gaussian noise paths drawn against an assembled covariance.
+def assemble_covariance(kernel: NoiseKernel, grid: TimeGrid) -> CovarianceOperator:
+    """Factorize the n_nodes x n_nodes Toeplitz covariance f_r(|t_a - t_b|) of each kernel term.
 
-    ``paths`` has shape (count, 3, n_nodes): lab-frame components per node.
+    Cholesky is attempted with a diagonal jitter escalated from 0 through
+    1e-8 of the term's diagonal entry; an all-zero term short-circuits to a
+    zero factor.
+
+    Raises
+    ------
+    NotPSD
+        If every jitter level fails for a term; the error carries an
+        estimate of that term's most negative eigenvalue.
     """
-
-    paths: np.ndarray
-    seed: int
-    kernel: NoiseKernel
-    grid: TimeGrid
-
-    def __post_init__(self):
-        self.paths.setflags(write=False)
-
-    @property
-    def count(self) -> int:
-        return self.paths.shape[0]
+    cols = np.array(kernel.lag_profiles(grid.dt * np.arange(grid.n_nodes)), dtype=float)
+    factors, jitters = zip(*(_factor_term(col, r) for r, col in enumerate(cols)))
+    return CovarianceOperator(kernel, grid, cols, np.vstack(factors), max(jitters))
 
 
 def _path_normals(seed: int, start: int, count: int, dim: int) -> np.ndarray:
@@ -376,35 +350,15 @@ def _path_normals(seed: int, start: int, count: int, dim: int) -> np.ndarray:
 
 
 def sample_block(cov: CovarianceOperator, seed: int, start: int, count: int) -> np.ndarray:
-    """Paths for substreams [start, start + count); shape (count, 3, n_nodes)."""
-    n = cov.grid.n_nodes
-    z = _path_normals(seed, start, count, 3 * n)
-    return (z @ cov.factor.T).reshape(count, 3, n)
+    """Term scalars xi for substreams [start, start + count); shape (count, R, n_nodes).
 
-
-def sample_paths(
-    kernel: NoiseKernel,
-    grid: TimeGrid,
-    count: int,
-    seed: int,
-    cov: CovarianceOperator | None = None,
-) -> NoiseSampleSet:
-    """Draw independent zero-mean Gaussian paths with the grid covariance.
-
-    Path p always draws its normals from Philox substream ``jumped(p)`` of
-    the seed, so a given (seed, count) reproduces exactly and per-path
-    generation parallelizes without coordination.  (The coloring matmul is
-    batched, so prefixes of different-sized draws may differ at rounding
-    level.)  A pre-assembled ``cov`` may be passed to skip refactorization.
+    Path p draws R n_nodes normals from its substream; term r colors
+    normals [r n_nodes, (r + 1) n_nodes) with its factor L_r.  The lab-frame
+    noise of the path is sum_r xi_r a_r.
     """
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    if cov is None:
-        cov = assemble_covariance(kernel, grid)
-    elif cov.grid != grid:
-        raise ValueError("covariance operator was assembled on a different grid")
-    paths = np.empty((count, 3, grid.n_nodes))
-    for start in range(0, count, _SAMPLE_CHUNK):
-        stop = min(start + _SAMPLE_CHUNK, count)
-        paths[start:stop] = sample_block(cov, seed, start, stop - start)
-    return NoiseSampleSet(paths, seed, kernel, grid)
+    n = cov.grid.n_nodes
+    terms = cov.factor.shape[0] // n
+    z = _path_normals(seed, start, count, terms * n).reshape(count, terms, n)
+    for r in range(terms):
+        z[:, r] = z[:, r] @ cov.factor[r * n : (r + 1) * n].T
+    return z

@@ -248,6 +248,19 @@ class TestMcValidate:
         ]
 
 
+    def test_report_records_jitter_and_sample_rate(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SPINCTL_OUT", str(tmp_path / "out"))
+        cfg = {
+            "kind": "mc-validate", "tau": 1.0, "kernel": PAPER_KERNEL,
+            "target": PAPER_TARGET, "epsilon": [0.1], "two_s": [1],
+            "grid_steps": 32, "mc_samples": 100, "seed": 11,
+        }
+        run(validate_config(json.dumps(cfg)))
+        summary = json.loads((tmp_path / "out" / "report.json").read_text())["grid_deltas"]
+        assert {"jitter", "samples_per_s"} <= summary.keys()
+        assert summary["jitter"] >= 0.0
+
+
 class TestMagnusCheck:
     def test_small_run(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPINCTL_OUT", str(tmp_path / "out"))

@@ -17,9 +17,9 @@ from spinctl.fidelity import (
     _amplitudes_from_half,
 )
 from spinctl.magnus import PurePath, TimeGrid, ordered_exp_batch, solve_m_ode, time_ordered_exp
-from spinctl.noise import DiagonalConstant, OneOverF, sample_paths
+from spinctl.noise import DiagonalConstant, OneOverF
 
-from conftest import drift_triad
+from conftest import drift_triad, sample_paths
 
 # Frozen drift-scenario action baseline (grid-refined; Richardson-consistent
 # across 512/1024/2048 to ~3e-6 absolute).
@@ -215,7 +215,7 @@ def oracle_cell(triad, kernel, epsilon, spin, count, seed):
     standard error are formed directly, independently of the estimator's
     chunk loop and shared-draw bookkeeping.
     """
-    lab = sample_paths(kernel, triad.grid, count, seed).paths
+    lab = sample_paths(kernel, triad.grid, count, seed)
     rot = np.einsum("pik,kic->pkc", lab, triad.values)
     vals = _amplitudes_from_half(ordered_exp_batch(rot, epsilon, triad.grid.dt)[:, 0], spin)
     mean = math.fsum(vals) / count

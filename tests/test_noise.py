@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from mpmath import e1 as mp_e1, mp
 from scipy.integrate import quad
+from scipy.linalg import toeplitz
 
 from spinctl.errors import DomainError, NotPSD
 from spinctl.evolution import TriadPath
@@ -17,10 +18,11 @@ from spinctl.noise import (
     OneOverF,
     assemble_covariance,
     exp_integral_e1,
-    sample_paths,
     _path_normals,
 )
 from spinctl.optimizer import OptimizationProblem, _Workspace
+
+from conftest import sample_paths
 
 mp.dps = 30
 
@@ -117,19 +119,26 @@ class TestAssembleCovariance:
         assert np.all(cov.factor == 0.0)
 
     def test_diagonal_constant_rank(self):
+        # each term is one random constant: its Toeplitz block has rank <= 1
         grid = TimeGrid(1.0, 32)
         cov = assemble_covariance(DiagonalConstant((0.5, 0.2, 0.0)), grid)
-        eigs = np.linalg.eigvalsh(cov.matrix)
-        assert np.sum(eigs > 1e-9 * eigs[-1]) <= 3
+        assert cov.matrix.shape == (3, grid.n_nodes)
+        for col in cov.matrix:
+            eigs = np.linalg.eigvalsh(toeplitz(col))
+            assert np.sum(eigs > 1e-9 * eigs[-1]) <= 1
 
     def test_factor_reproduces_matrix(self, paper_kernel):
         grid = TimeGrid(1.0, 48)
+        n = grid.n_nodes
         cov = assemble_covariance(paper_kernel, grid)
-        np.testing.assert_allclose(
-            cov.factor @ cov.factor.T,
-            cov.matrix + cov.jitter * np.eye(cov.matrix.shape[0]),
-            atol=1e-10 * np.max(cov.matrix),
-        )
+        assert cov.factor.shape == (len(cov.matrix) * n, n)
+        for r, col in enumerate(cov.matrix):
+            block = cov.factor[r * n : (r + 1) * n]
+            np.testing.assert_allclose(
+                block @ block.T,
+                toeplitz(col) + cov.jitter * np.eye(n),
+                atol=1e-10 * np.max(cov.matrix),
+            )
 
     def test_not_psd_raises(self):
         # a parabola in the lag is not a covariance on long grids
@@ -146,30 +155,56 @@ class TestAssembleCovariance:
 
 
 class TestSamplePaths:
+    def test_flagship_factors_without_jitter(self, paper_kernel):
+        cov = assemble_covariance(paper_kernel, TimeGrid(1.0, 512))
+        assert cov.jitter == 0.0
+        assert cov.factor.shape == (513, 513)
+
+    def test_fixed_axis_noise_stays_on_axis(self, paper_kernel):
+        paths = sample_paths(paper_kernel, TimeGrid(1.0, 16), 50, seed=3)
+        assert np.all(paths[:, 1:] == 0.0)
+        assert np.all(paths[:, 0] != 0.0)
+
+    def test_tilted_axis_cross_covariance(self):
+        # lab components x = a_x xi and z = a_z xi of one scalar process:
+        # E[x(t) z(t + lag)] = a_x a_z f(lag)
+        axis = (1.0 / 3.0, 2.0 / 3.0, -2.0 / 3.0)
+        kernel = OneOverF(8.0, 0.1, 20.0, axis=axis)
+        grid = TimeGrid(1.0, 64)
+        total = 40_000
+        paths = sample_paths(kernel, grid, total, seed=12)
+        f0 = kernel.scalar(0.0)
+        a = 10
+        for lag in (0, 1, 8, 40):
+            emp = float(np.mean(paths[:, 0, a] * paths[:, 2, a + lag]))
+            f = kernel.scalar(lag * grid.dt)
+            se = abs(axis[0] * axis[2]) * math.sqrt((f0**2 + f**2) / total)
+            assert abs(emp - axis[0] * axis[2] * f) < 4.0 * se
+
     def test_empty_draw(self, paper_kernel):
         grid = TimeGrid(1.0, 16)
         out = sample_paths(paper_kernel, grid, 0, seed=1)
-        assert out.paths.shape == (0, 3, 17)
+        assert out.shape == (0, 3, 17)
 
     def test_zero_kernel_gives_zero_paths(self):
         grid = TimeGrid(1.0, 16)
         out = sample_paths(DiagonalConstant((0.0, 0.0, 0.0)), grid, 20, seed=1)
-        assert np.all(out.paths == 0.0)
+        assert np.all(out == 0.0)
 
     def test_deterministic_given_seed(self, paper_kernel):
         grid = TimeGrid(1.0, 24)
         a = sample_paths(paper_kernel, grid, 50, seed=77)
         b = sample_paths(paper_kernel, grid, 50, seed=77)
-        np.testing.assert_array_equal(a.paths, b.paths)
+        np.testing.assert_array_equal(a, b)
         c = sample_paths(paper_kernel, grid, 50, seed=78)
-        assert not np.array_equal(a.paths, c.paths)
+        assert not np.array_equal(a, c)
 
     def test_empirical_mean_is_zero(self, paper_kernel):
         grid = TimeGrid(1.0, 24)
         count = 100_000
         out = sample_paths(paper_kernel, grid, count, seed=5)
         sigma = math.sqrt(paper_kernel.matrix(0.0)[0, 0])
-        mean = np.mean(out.paths[:, 0, :], axis=0)
+        mean = np.mean(out[:, 0, :], axis=0)
         assert np.max(np.abs(mean)) < 4.0 * sigma / math.sqrt(count)
 
     def test_sample_covariance_matches_kernel(self, paper_kernel):
@@ -182,7 +217,7 @@ class TestSamplePaths:
         cov = assemble_covariance(paper_kernel, grid)
         for i in range(total // chunk):
             block = sample_paths(paper_kernel, grid, chunk, seed=100 + i, cov=cov)
-            x = block.paths[:, 0, :]
+            x = block[:, 0, :]
             acc += x.T @ x
         emp = acc / total
         lags = [0, 1, 8, 64, 200]
@@ -200,7 +235,7 @@ class TestSamplePaths:
         kernel = OneOverF(1.0, 0.5, 50.0)
         grid = TimeGrid(32.0, 512)
         out = sample_paths(kernel, grid, 10_000, seed=9)
-        x = out.paths[:, 0, :-1]
+        x = out[:, 0, :-1]
         spec = np.mean(np.abs(np.fft.rfft(x, axis=1)) ** 2, axis=0)
         freqs = np.fft.rfftfreq(x.shape[1], d=grid.dt)
         band = (freqs >= 2 * 0.5 / (2 * math.pi)) & (freqs <= 0.5 * 50.0 / (2 * math.pi))
