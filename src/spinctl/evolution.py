@@ -25,12 +25,12 @@ from .magnus import PurePath, TimeGrid, _central_diff, _cumtrapz
 from .quat import (
     PureQuat,
     UnitQuat,
+    cross3,
     qexp,
     qexp_vec,
     qconj_wxyz,
     qprefix,
     quat_to_matrix,
-    rotate,
     qconj,
 )
 
@@ -88,7 +88,7 @@ class TriadPath:
 
     def handedness_defect(self) -> float:
         """Max deviation of E_1 ^ E_2 from E_3 over all nodes."""
-        c = np.cross(self.values[:, 0, :], self.values[:, 1, :])
+        c = cross3(self.values[:, 0, :], self.values[:, 1, :])
         return float(np.max(np.abs(c - self.values[:, 2, :])))
 
     def validate(self, tol: float = 1e-9) -> None:
@@ -176,9 +176,9 @@ def _power_wedge(values: np.ndarray, rates: np.ndarray) -> np.ndarray:
     cyclic sum.
     """
     return (
-        np.einsum("kc,kc->k", values[:, 0], np.cross(rates[:, 1], rates[:, 2]))
-        + np.einsum("kc,kc->k", values[:, 1], np.cross(rates[:, 2], rates[:, 0]))
-        + np.einsum("kc,kc->k", values[:, 2], np.cross(rates[:, 0], rates[:, 1]))
+        np.einsum("kc,kc->k", values[:, 0], cross3(rates[:, 1], rates[:, 2]))
+        + np.einsum("kc,kc->k", values[:, 1], cross3(rates[:, 2], rates[:, 0]))
+        + np.einsum("kc,kc->k", values[:, 2], cross3(rates[:, 0], rates[:, 1]))
     )
 
 

@@ -168,7 +168,7 @@ def _estimate(
     """Compensated sample mean and standard error of one cell's amplitudes."""
     count = len(vals)
     mean = math.fsum(vals) / count
-    var = math.fsum((v - mean) ** 2 for v in vals) / (count - 1)
+    var = math.fsum((vals - mean) ** 2) / (count - 1)
     return FidelityEstimate(
         mean=complex(mean, 0.0),
         std_error=math.sqrt(var / count),
@@ -218,11 +218,14 @@ def mc_fidelity_table(
     chunks = [[[] for _ in spins] for _ in epsilons]
     for start in range(0, count, _MC_CHUNK):
         xi = sample_block(cov, seed, start, min(_MC_CHUNK, count - start))
-        rot = xi[:, 0, :, None] * proj[0]
+        # Component-major (3, n_nodes, paths), the ordered product's fast
+        # layout, by one transposing pass over xi; rot.T is (paths, n_nodes, 3).
+        rot = np.empty((3, grid.n_nodes, len(xi)))
+        np.multiply(proj[0].T[:, :, None], xi[:, 0].T, out=rot)
         for r in range(1, len(proj)):
-            rot += xi[:, r, :, None] * proj[r]
+            rot += proj[r].T[:, :, None] * xi[:, r].T
         for row, eps in zip(chunks, epsilons):
-            a_half = ordered_exp_batch(rot, eps, grid.dt)[:, 0]
+            a_half = ordered_exp_batch(rot.T, eps, grid.dt)[:, 0]
             for cell, spin in zip(row, spins):
                 cell.append(_amplitudes_from_half(a_half, spin))
 

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonConvergence, SingularCot, UnsupportedOrder
-from .quat import PureQuat, UnitQuat, qexp_vec, qproduct
+from .quat import PureQuat, UnitQuat, cross3, qexp_vec, qproduct
 
 __all__ = [
     "TimeGrid",
@@ -123,11 +123,12 @@ def time_ordered_exp(n: PurePath, epsilon) -> UnitQuat:
 def ordered_exp_batch(values: np.ndarray, epsilon, dt: float) -> np.ndarray:
     """Ordered midpoint product for a batch of sampled fields.
 
-    ``values`` has shape (batch, n_nodes, 3); returns unit quaternions of
+    ``values`` has shape (batch, n_nodes, 3), any layout; component-major
+    memory (3, n_nodes, batch) is the fast one.  Returns unit quaternions of
     shape (batch, 4).  Same discretization as ``time_ordered_exp``.  The
-    step exponents are built in place inside the step array.
+    step exponents are built in place in a component-major step array.
     """
-    steps = np.empty(values.shape[:-2] + (values.shape[-2] - 1, 4))
+    steps = np.empty(values.shape[:-2] + (values.shape[-2] - 1, 4), order="F")
     v = np.add(values[:, :-1, :], values[:, 1:, :], out=steps[..., 1:])
     v *= 0.25 * float(epsilon) * dt
     return qproduct(qexp_vec(v, out=steps))
@@ -365,7 +366,7 @@ def n_of_m(m: PurePath, epsilon) -> PurePath:
         acoef = np.where(small, 1.0 / 6.0 - y2 / 120.0 + y2 * y2 / 5040.0, (1.0 - sinc) / np.where(y2 == 0.0, 1.0, y2))
 
     mdotdm = np.sum(v * dm, axis=1)
-    cross = np.cross(v, dm)
+    cross = cross3(v, dm)
     out = (
         sinc[:, None] * dm
         + (eps * eps) * (acoef * mdotdm)[:, None] * v
@@ -407,13 +408,13 @@ def magnus_term(n: PurePath, order: int) -> PurePath:
     m0 = _cumtrapz(v, dt)
     if order == 0:
         return PurePath(n.grid, m0)
-    m1 = 0.5 * _cumtrapz(np.cross(v, m0), dt)
+    m1 = 0.5 * _cumtrapz(cross3(v, m0), dt)
     if order == 1:
         return PurePath(n.grid, m1)
     # Second piece needs the running outer-product integral of n (x) m0.
     outer = _cumtrapz(v[:, :, None] * m0[:, None, :], dt)  # (n, 3, 3)
     scal = _cumtrapz(np.sum(v * m0, axis=1), dt)  # (n,)
-    piece1 = _cumtrapz(np.cross(v, 2.0 * m1), dt)
+    piece1 = _cumtrapz(cross3(v, 2.0 * m1), dt)
     inner2 = np.einsum("kab,kb->ka", outer, v) - scal[:, None] * v
     piece2 = _cumtrapz(inner2, dt)
     return PurePath(n.grid, (piece1 + piece2) / 6.0)
@@ -457,7 +458,7 @@ def magnus_iterate(n: PurePath, epsilon, iterations: int) -> MagnusIterateResult
         mdotn = np.sum(cur * v, axis=1)
         rhs = (
             v
-            - 0.5 * eps * np.cross(cur, v)
+            - 0.5 * eps * cross3(cur, v)
             + (eps2 * h)[:, None] * (cur * mdotn[:, None] - v * m2[:, None])
         )
         nxt = _cumtrapz(rhs, dt)

@@ -339,13 +339,16 @@ def _path_normals(seed: int, start: int, count: int, dim: int) -> np.ndarray:
     """Standard normals for paths [start, start+count), one substream each.
 
     Substream p is ``Philox(key=seed).jumped(p)``.  ``jumped(p)`` advances
-    the 256-bit counter by p * 2**128, so the substream is built directly
-    with counter word 2 set to p, without the jump arithmetic.
+    the 256-bit counter by p * 2**128, so one generator serves every path,
+    reset per path to counter word 2 = p and an empty output buffer.
     """
     out = np.empty((count, dim))
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    state = gen.bit_generator.state
     for p in range(start, start + count):
-        gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, p, 0]))
-        out[p - start] = gen.standard_normal(dim)
+        state["state"]["counter"][2] = p
+        gen.bit_generator.state = state
+        gen.standard_normal(out=out[p - start])
     return out
 
 

@@ -137,9 +137,6 @@ class SweepPoint:
 class SweepResult:
     points: tuple[SweepPoint, ...]
 
-    def solutions(self) -> list[ControlSolution]:
-        return [p.solution for p in self.points if p.solution is not None]
-
 
 def _resample_cells(cells: np.ndarray, grid: TimeGrid, t_dst: np.ndarray) -> np.ndarray:
     """Cubic-spline resampling of cell values from a grid's cell centers to times ``t_dst``."""

@@ -6,7 +6,10 @@ arrays of shape (..., 4) in (w, x, y, z) order, or (..., 3) for pure
 quaternions; these power the batched inner loops elsewhere in the package.
 Ordered products of step quaternions along axis -2 exist once, here:
 `qprefix` returns every prefix (Hillis-Steele doubling, log2(n) vectorized
-passes) and `qproduct` only the total (pairwise tree reduction).
+passes) and `qproduct` only the total (pairwise tree reduction), both by
+the one product kernel `qmul_wxyz` in their input's memory order.  The Monte
+Carlo path passes component-major steps, memory (4, n, paths) viewed as
+(paths, n, 4), so every ufunc runs on contiguous rows of paths.
 
 Conventions: the basis satisfies e_i e_j = -delta_ij + eps_ijk e_k, a unit
 quaternion u rotates a pure quaternion p via u p conj(u), and composing
@@ -263,19 +266,30 @@ def rotate(u: UnitQuat, p: PureQuat) -> PureQuat:
 # ---------------------------------------------------------------------------
 
 
-def qmul_wxyz(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Componentwise-batched quaternion product of (..., 4) arrays."""
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by + ay * bw + az * bx - ax * bz,
-            aw * bz + az * bw + ax * by - ay * bx,
-        ],
-        axis=-1,
-    )
+# Row k of a b, term by term and left to right (w = aw*bw - ax*bx - ay*by - az*bz).
+_QMUL_ROWS = (
+    (0, 0, (np.subtract, 1, 1), (np.subtract, 2, 2), (np.subtract, 3, 3)),
+    (0, 1, (np.add, 1, 0), (np.add, 2, 3), (np.subtract, 3, 2)),
+    (0, 2, (np.add, 2, 0), (np.add, 3, 1), (np.subtract, 1, 3)),
+    (0, 3, (np.add, 3, 0), (np.add, 1, 2), (np.subtract, 2, 1)),
+)
+
+
+def qmul_wxyz(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Componentwise-batched quaternion product of (..., 4) arrays, broadcasting.
+
+    The one product kernel: one ufunc per term into the components of
+    ``out`` (aliasing neither factor), in the operands' memory order.
+    """
+    if out is None:
+        out = np.empty(np.broadcast(a, b).shape)
+    ac, bc = [a[..., k] for k in range(4)], [b[..., k] for k in range(4)]
+    tmp = np.empty_like(out[..., 0])
+    for k, (i, j, *terms) in enumerate(_QMUL_ROWS):
+        acc = np.multiply(ac[i], bc[j], out[..., k])
+        for op, i, j in terms:
+            op(acc, np.multiply(ac[i], bc[j], tmp), acc)
+    return out
 
 
 def qconj_wxyz(a: np.ndarray) -> np.ndarray:
@@ -307,7 +321,7 @@ def qexp_vec(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if out is None:
         out = np.empty(v.shape[:-1] + (4,))
     v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
-    theta, s = np.empty(v.shape[:-1]), np.empty(v.shape[:-1])
+    theta, s = np.empty_like(v0), np.empty_like(v0)
     np.multiply(v0, v0, out=theta)
     theta += v1 * v1
     theta += v2 * v2  # the order of np.sum over a length-3 axis
@@ -350,16 +364,18 @@ def qprefix(steps: np.ndarray) -> np.ndarray:
 def qproduct(steps: np.ndarray) -> np.ndarray:
     """Ordered total s_{n-1} ... s_1 s_0 of (..., n, 4) step quaternions.
 
-    Pairwise tree reduction along axis -2 (later factors on the left), so
-    the working set halves every pass; renormalized once at the end.
-    Needs n >= 1; returns (..., 4).
+    Pairwise tree reduction along axis -2 (later factors on the left), in
+    the memory order of ``steps``, so the working set halves every pass;
+    renormalized once at the end.  Needs n >= 1; returns (..., 4).
     """
     acc = np.asarray(steps, dtype=float)
     while acc.shape[-2] > 1:
-        pairs = qmul_wxyz(acc[..., 1::2, :], acc[..., 0:-1:2, :])
-        if acc.shape[-2] % 2:
-            pairs = np.concatenate([pairs, acc[..., -1:, :]], axis=-2)
-        acc = pairs
+        half, odd = divmod(acc.shape[-2], 2)
+        nxt = np.empty_like(acc[..., : half + odd, :])
+        qmul_wxyz(acc[..., 1::2, :], acc[..., 0:-1:2, :], out=nxt[..., :half, :])
+        if odd:
+            nxt[..., -1, :] = acc[..., -1, :]
+        acc = nxt
     return _normalize_wxyz(acc[..., 0, :])
 
 
@@ -367,8 +383,8 @@ def rotate_vec(u: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Batched rotation u p conj(u): u is (..., 4) unit, p is (..., 3)."""
     w = u[..., :1]
     v = u[..., 1:]
-    cv = np.cross(v, p)
-    return p + 2.0 * (w * cv + np.cross(v, cv))
+    cv = cross3(v, p)
+    return p + 2.0 * (w * cv + cross3(v, cv))
 
 
 def quat_to_matrix(u: np.ndarray) -> np.ndarray:

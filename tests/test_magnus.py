@@ -100,6 +100,16 @@ class TestTimeOrderedExp:
                 batch[k], quat_tuple(time_ordered_exp(p, 0.8)), atol=1e-12
             )
 
+    @pytest.mark.parametrize("n_paths", [1, 6])
+    def test_batch_component_major_view_matches_c_order(self, n_paths):
+        grid = TimeGrid(1.0, 257)
+        rng = np.random.default_rng(24)
+        values = np.stack([random_smooth_path(grid, rng).values for _ in range(n_paths)])
+        # (3, n_nodes, paths) memory seen as (paths, n_nodes, 3), as the Monte Carlo table passes it
+        view = np.ascontiguousarray(values.transpose(2, 1, 0)).transpose(2, 1, 0)
+        assert view.strides[0] == view.itemsize
+        np.testing.assert_array_equal(ordered_exp_batch(view, 0.8, grid.dt), ordered_exp_batch(values, 0.8, grid.dt))
+
 
 class TestSolveMOde:
     def test_constant_field(self):

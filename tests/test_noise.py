@@ -18,6 +18,7 @@ from spinctl.noise import (
     OneOverF,
     assemble_covariance,
     exp_integral_e1,
+    sample_block,
     _path_normals,
 )
 from spinctl.optimizer import OptimizationProblem, _Workspace
@@ -254,6 +255,21 @@ class TestSamplePaths:
             for p in range(start, start + 3)
         ])
         np.testing.assert_array_equal(_path_normals(seed, start, 3, dim), want)
+
+    @pytest.mark.parametrize("start", [0, 4095])
+    def test_sample_block_matches_fresh_generator_per_path(self, start):
+        # sample_block reuses one generator and resets its counter per path;
+        # every path must match a freshly built Philox at counter word 2 = p.
+        kernel = OneOverF(8.0, 0.1, 20.0, axis=(1.0 / 3.0, 2.0 / 3.0, -2.0 / 3.0))
+        grid = TimeGrid(1.0, 64)
+        cov = assemble_covariance(kernel, grid)
+        seed, count, n = 77, 5, grid.n_nodes
+        z = np.array([
+            np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, p, 0])).standard_normal(n)
+            for p in range(start, start + count)
+        ])
+        want = (z @ cov.factor.T)[:, None, :]
+        np.testing.assert_array_equal(sample_block(cov, seed, start, count), want)
 
 
 ORACLE_KERNELS = [

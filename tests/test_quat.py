@@ -334,3 +334,83 @@ class TestOrderedProducts:
         np.testing.assert_allclose(total, expect[..., -1, :], rtol=0.0, atol=1e-13)
         np.testing.assert_allclose(np.linalg.norm(prefix, axis=-1), 1.0, rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(np.linalg.norm(total, axis=-1), 1.0, rtol=0.0, atol=1e-14)
+
+
+def stacked_product(a, b):
+    """The expression-per-component, np.stack form of the batched product."""
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return np.stack(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by + ay * bw + az * bx - ax * bz,
+            aw * bz + az * bw + ax * by - ay * bx,
+        ],
+        axis=-1,
+    )
+
+
+def stacked_normalize(a):
+    return a / np.sqrt(np.sum(a * a, axis=-1, keepdims=True))
+
+
+def stacked_scan(steps):
+    """Doubling scan by ``stacked_product``, updated in place, renormalized once."""
+    acc = np.array(steps, dtype=float)
+    shift = 1
+    while shift < acc.shape[-2]:
+        acc[..., shift:, :] = stacked_product(acc[..., shift:, :], acc[..., :-shift, :])
+        shift *= 2
+    ident = np.zeros(acc.shape[:-2] + (1, 4))
+    ident[..., 0] = 1.0
+    return np.concatenate([ident, stacked_normalize(acc)], axis=-2)
+
+
+def stacked_tree(steps):
+    """Pairwise tree reduction by ``stacked_product``, odd tails concatenated."""
+    acc = np.asarray(steps, dtype=float)
+    while acc.shape[-2] > 1:
+        pairs = stacked_product(acc[..., 1::2, :], acc[..., 0:-1:2, :])
+        if acc.shape[-2] % 2:
+            pairs = np.concatenate([pairs, acc[..., -1:, :]], axis=-2)
+        acc = pairs
+    return stacked_normalize(acc[..., 0, :])
+
+
+def component_major(a):
+    """The values of ``a`` in reversed-axis memory: (4, n, paths) under a (paths, n, 4) view."""
+    return np.asfortranarray(a)
+
+
+class TestProductKernelBits:
+    """The product kernel, scan and tree reduction keep the np.stack form's bits in every layout."""
+
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, component_major])
+    def test_product_matches_stacked_form(self, layout):
+        rng = np.random.default_rng(31)
+        a = layout(rng.normal(size=(6, 33, 4)))
+        b = layout(rng.normal(size=(6, 33, 4)))
+        np.testing.assert_array_equal(qmul_wxyz(a, b), stacked_product(a, b))
+        np.testing.assert_array_equal(qmul_wxyz(a[0, 0], b), stacked_product(a[0, 0], b))
+        out = layout(np.empty((6, 33, 4)))
+        assert qmul_wxyz(a, b, out=out) is out
+        np.testing.assert_array_equal(out, stacked_product(a, b))
+
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, component_major])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 512, 513])
+    @pytest.mark.parametrize("batch", [(), (5,)])
+    def test_scan_and_tree_match_stacked_form(self, n, batch, layout):
+        rng = np.random.default_rng(100 + n)
+        steps = layout(qexp_vec(rng.normal(scale=0.5, size=batch + (n, 3))))
+        np.testing.assert_array_equal(qprefix(steps), stacked_scan(steps))
+        np.testing.assert_array_equal(qproduct(steps), stacked_tree(steps))
+
+    def test_exp_on_component_major_view_matches_c_order(self):
+        rng = np.random.default_rng(32)
+        vecs = rng.normal(scale=0.7, size=(9, 65, 3))
+        vecs[0, :2] = [[0.0, 0.0, 0.0], [1e-9, 0.0, 0.0]]
+        out = np.empty((9, 65, 4), order="F")
+        out[..., 1:] = vecs
+        qexp_vec(out[..., 1:], out=out)
+        np.testing.assert_array_equal(out, qexp_vec(vecs))
