@@ -12,10 +12,13 @@ Subcommands::
 ``grid_steps`` (not ``kernel-table``); the environment variable
 SPINCTL_OUT overrides the output directory.  Outputs are deterministic for a
 fixed config and seed: CSV bodies are byte-identical across runs, and only
-the JSON report header carries wall-clock information.
+``report.json`` carries wall-clock information: its header, and the
+solver's per-round record (``rounds``) in each ``solve`` and ``sweep`` row,
+error rows included.
 
-Exit status: 0 ok, 1 config error, 2 solver failure (including any failed
-sweep point, each named on stderr).
+Exit status: 0 ok, 1 config error, 2 solver failure (a failed solve or any
+failed sweep point, each named on stderr and recorded as an ``error`` row of
+``report.json``).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, SpinctlError
+from .errors import BCUnreachable, ConfigError, NoDescent, SpinctlError
 from .evolution import TargetRotation
 from .fidelity import SpinNumber, action_S, fidelity_weak, mc_fidelity_table
 from .magnus import PurePath, TimeGrid, random_smooth_path, solve_m_ode_batch, time_ordered_exp
@@ -354,6 +357,11 @@ def _solution_record(config, sol, refined):
     return rec
 
 
+def _round_rows(rounds) -> list[dict]:
+    """The solver's per-round record; it holds wall-clock seconds, so it goes to report.json only."""
+    return [asdict(r) for r in rounds]
+
+
 def _run_solve(config: RunConfig, out: Path):
     lam = config.lambda_inv[0]
     grid = TimeGrid(config.tau, config.grid_steps)
@@ -361,7 +369,10 @@ def _run_solve(config: RunConfig, out: Path):
         kernel=config.kernel, target=config.target, tau=config.tau,
         lambda_inv=lam, grid=grid,
     )
-    sol = solve(problem)
+    try:
+        sol = solve(problem)
+    except (BCUnreachable, NoDescent) as exc:
+        return [{"lambda_inv": lam, "error": str(exc), "rounds": _round_rows(exc.last_solution.rounds)}], {}
     refined = (
         refine_deviation(problem, sol.delta_omega_rot.values, config.refine_steps)
         if config.refine_steps
@@ -395,7 +406,8 @@ def _run_solve(config: RunConfig, out: Path):
         "delta_omega": dom.tolist(),
     }
     (out / "solution.json").write_text(json.dumps(archive, indent=1), newline="\n")
-    return [record], {"S_refine_delta": record.get("S_refine_delta", 0.0)}
+    row = {**record, "rounds": _round_rows(sol.rounds)}
+    return [row], {"S_refine_delta": record.get("S_refine_delta", 0.0)}
 
 
 def _echo_problem(config: RunConfig, lam):
@@ -427,7 +439,9 @@ def _run_sweep(config: RunConfig, out: Path):
     deltas = {}
     for point in result.points:
         if point.solution is None:
-            report_rows.append({"lambda_inv": point.lambda_inv, "error": point.error})
+            report_rows.append(
+                {"lambda_inv": point.lambda_inv, "error": point.error, "rounds": _round_rows(point.rounds)}
+            )
             continue
         sol = point.solution
         refined = (
@@ -447,6 +461,7 @@ def _run_sweep(config: RunConfig, out: Path):
         rows.append(srow + fvals)
         rec = _solution_record(config, sol, refined)
         rec["fidelities"] = dict(zip(fid_cols, fvals))
+        rec["rounds"] = _round_rows(point.rounds)
         report_rows.append(rec)
         deltas[f"lambda_inv={point.lambda_inv:g}"] = (s_report - sol.S) if refined is not None else 0.0
     _write_csv(out / "sweep.csv", header, rows)

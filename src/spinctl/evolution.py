@@ -182,13 +182,6 @@ def _power_wedge(values: np.ndarray, rates: np.ndarray) -> np.ndarray:
     )
 
 
-def _power_antisym(values: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """|Omega|^2 from the antisymmetrized quadratic form in E_i . dE_j."""
-    a = np.einsum("kic,kjc->kij", values, rates)
-    anti = a - np.swapaxes(a, 1, 2)
-    return 0.125 * np.einsum("kij,kij->k", anti, anti)
-
-
 def power(obj: TriadPath | ControlPath) -> PowerPath:
     """Output power |Omega(t)|^2 per node and the energy output int |Omega|^2/2 dt.
 

@@ -195,8 +195,8 @@ def mc_fidelity_table(
     scalar part lifted to every requested spin.  The noise enters the
     spin-s amplitude only through the spin-1/2 ordered exponential, and
     epsilon only through that product, so each kernel term is factorized
-    once, each chunk of paths is drawn and rotated once, and the ordered
-    product runs once per (chunk, epsilon).
+    once, each chunk of paths is drawn and rotated and its node sums are
+    formed once, and the ordered product runs once per (chunk, epsilon).
     Path p always draws from Philox substream p of the seed, so every cell
     is chunking-independent and equals a separate ``mc_fidelity`` call bit
     for bit.  Sample means use compensated summation.
@@ -224,8 +224,10 @@ def mc_fidelity_table(
         np.multiply(proj[0].T[:, :, None], xi[:, 0].T, out=rot)
         for r in range(1, len(proj)):
             rot += proj[r].T[:, :, None] * xi[:, r].T
+        del xi  # free the draw before the node sums are allocated
+        sums = rot[:, :-1] + rot[:, 1:]  # epsilon-independent, so formed once per chunk
         for row, eps in zip(chunks, epsilons):
-            a_half = ordered_exp_batch(rot.T, eps, grid.dt)[:, 0]
+            a_half = ordered_exp_batch(rot.T, eps, grid.dt, node_sums=sums.T)[:, 0]
             for cell, spin in zip(row, spins):
                 cell.append(_amplitudes_from_half(a_half, spin))
 

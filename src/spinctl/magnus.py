@@ -120,18 +120,33 @@ def time_ordered_exp(n: PurePath, epsilon) -> UnitQuat:
     return UnitQuat.normalized(*(float(c) for c in qproduct(steps)))
 
 
-def ordered_exp_batch(values: np.ndarray, epsilon, dt: float) -> np.ndarray:
+# Paths per step array in ``ordered_exp_batch``: every path's product is
+# independent of the others, so blocks bound the working set without
+# changing a bit.
+_BATCH_BLOCK = 1024
+
+
+def ordered_exp_batch(values: np.ndarray, epsilon, dt: float, node_sums=None) -> np.ndarray:
     """Ordered midpoint product for a batch of sampled fields.
 
     ``values`` has shape (batch, n_nodes, 3), any layout; component-major
-    memory (3, n_nodes, batch) is the fast one.  Returns unit quaternions of
-    shape (batch, 4).  Same discretization as ``time_ordered_exp``.  The
-    step exponents are built in place in a component-major step array.
+    memory (3, n_nodes, batch) is the fast one.  ``node_sums`` may pass
+    ``values[:, :-1] + values[:, 1:]`` already formed, so a caller running
+    several epsilon on one batch adds the nodes once.  Returns unit
+    quaternions of shape (batch, 4).  Same discretization as
+    ``time_ordered_exp``.  The step exponents are built in place in a
+    component-major step array, _BATCH_BLOCK paths at a time.
     """
-    steps = np.empty(values.shape[:-2] + (values.shape[-2] - 1, 4), order="F")
-    v = np.add(values[:, :-1, :], values[:, 1:, :], out=steps[..., 1:])
-    v *= 0.25 * float(epsilon) * dt
-    return qproduct(qexp_vec(v, out=steps))
+    if node_sums is None:
+        node_sums = values[:, :-1, :] + values[:, 1:, :]
+    scale = 0.25 * float(epsilon) * dt
+    out = np.empty((values.shape[0], 4))
+    for start in range(0, values.shape[0], _BATCH_BLOCK):
+        sums = node_sums[start : start + _BATCH_BLOCK]
+        steps = np.empty(sums.shape[:-1] + (4,), order="F")
+        v = np.multiply(sums, scale, out=steps[..., 1:])
+        out[start : start + len(sums)] = qproduct(qexp_vec(v, out=steps))
+    return out
 
 
 # ---------------------------------------------------------------------------

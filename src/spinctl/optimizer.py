@@ -7,7 +7,9 @@ with the constant drift Omega_D: decision variables are the nodal values of
 the deviation field dOmega(t) (static components), the rotating triad is
 reconstructed by propagation from the static triad, and the terminal
 closed-loop condition c = vee(R_N) = 0 is enforced by an augmented
-Lagrangian (method of multipliers) with a fixed penalty weight.
+Lagrangian (method of multipliers) with a fixed, moderate penalty weight:
+the multiplier closes the loop, so the penalty only has to keep each round's
+subproblem well conditioned.
 
 Descent is quasi-Newton (L-BFGS) on the scaled objective
 J = lambda_inv * S + (1/2) int |Omega_D + dOmega|^2 dt + y . c + mu * |R_N - I|_F^2
@@ -21,6 +23,7 @@ minimizer; it is evaluated afterwards as an independent certificate.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,6 +41,7 @@ __all__ = [
     "check_ladder",
     "OptimizationProblem",
     "ControlSolution",
+    "SolveRound",
     "SweepPoint",
     "SweepResult",
     "el_residual",
@@ -48,10 +52,15 @@ __all__ = [
 ]
 
 # Fixed penalty weight of the augmented Lagrangian (units of 1/tau).  The
-# multiplier closes the loop, so mu stays moderate and the problem stays
-# well conditioned.
-MU = 1e4
-# Cap on multiplier rounds; a solve normally certifies in two or three.
+# multiplier closes the loop, so mu need only be moderate: a large mu only
+# ill-conditions each round's subproblem (Nocedal & Wright, Numerical
+# Optimization, 2nd ed., 17.3); 1e4 needed 1,543 L-BFGS iterations at
+# lambda_inv = 10, n = 512, where 50 needs 407 for the same optimum.  Of the
+# values tried, only 50 certifies every cold solve at lambda_inv in
+# {1, ..., 250} x n in {256, 512, 1024} that 1e4 certified (10, 30, 70, 100,
+# 150 and 200 each lose an n = 512 point, whose certificate sits near 1e-4).
+MU = 50.0
+# Cap on multiplier rounds; a solve normally ends in three to five.
 MAX_ROUNDS = 20
 
 
@@ -99,6 +108,23 @@ class OptimizationProblem:
 
 
 @dataclass(frozen=True)
+class SolveRound:
+    """One augmented-Lagrangian round: its L-BFGS descent and the certificate after it.
+
+    ``y_norm`` is |y| of the loop-defect multiplier the round descended
+    with; ``seconds`` is the wall time of the descent plus the evaluation.
+    """
+
+    nit: int
+    nfev: int
+    message: str
+    bc_error: float
+    el_residual: float
+    y_norm: float
+    seconds: float
+
+
+@dataclass(frozen=True)
 class ControlSolution:
     """Optimized trajectory bundle for one value of lambda_inv.
 
@@ -109,7 +135,8 @@ class ControlSolution:
     lambda_inv = 0, where the energy term carries an infinite weight.
     ``mu_final`` is the augmented-Lagrangian penalty weight mu the solver
     ran with (0 when no descent ran, as at lambda_inv = 0 or for a bare
-    evaluation).
+    evaluation), and ``rounds`` records each of its multiplier rounds (empty
+    then).
     """
 
     triad: TriadPath
@@ -124,13 +151,17 @@ class ControlSolution:
     bc_error: float
     lambda_inv: float
     mu_final: float = 0.0
+    rounds: tuple[SolveRound, ...] = ()
 
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """One ladder point: its solution or error, and the multiplier rounds of its solve."""
+
     lambda_inv: float
     solution: ControlSolution | None
     error: str | None = None
+    rounds: tuple[SolveRound, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -313,10 +344,15 @@ class _Workspace:
         stationarity conditions second-order consistent with the continuum
         force balance.
         """
-        cells = xflat.reshape(self.n - 1, 3)
-        rmats = _rotations(cells, self.dt)
+        m = self.n - 1
+        cells = xflat.reshape(m, 3)
+        # The chain steps exp(-(dt/2) c_k) and the half steps Rot(phi/2) share
+        # one exponential and one matrix conversion; rmats has the bits of
+        # ``_rotations(cells, dt)``.
+        units = qexp_vec(np.concatenate([-0.5 * self.dt * cells, -0.25 * self.dt * cells]))
+        mats = quat_to_matrix(np.concatenate([qprefix(units[:m]), units[m:]]))
+        rmats, half_steps = mats[: m + 1], mats[m + 1 :]
         phi = -self.dt * cells
-        half_steps = quat_to_matrix(qexp_vec(-0.25 * self.dt * cells))  # Rot(phi/2)
         rstars = half_steps @ rmats[:-1]
         lstars = self.amats_c @ rstars
 
@@ -336,14 +372,14 @@ class _Workspace:
 
         # Reverse transport.  Perturbing cell k moves every later cell sample
         # and the terminal node through R_{k+1}, plus its own half-step sample.
-        suffix = np.zeros((self.n - 1, 3))
+        suffix = np.zeros((m, 3))
         if self.n > 2:
             suffix[:-1] = np.flip(np.cumsum(np.flip(torque[1:], 0), axis=0), 0)
         sigma = suffix + g_pen[None, :]
         gamma = np.einsum("kab,kb->ka", rmats[1:], sigma)
-        dphi = self._jl_transpose_apply(phi, gamma)
         local = np.einsum("kab,kb->ka", rstars, torque)
-        dphi += 0.5 * self._jl_transpose_apply(0.5 * phi, local)
+        jt = self._jl_transpose_apply(np.concatenate([phi, 0.5 * phi]), np.concatenate([gamma, local]))
+        dphi = jt[:m] + 0.5 * jt[m:]
 
         grad = self.dt * omega - self.dt * dphi
         return j_val, grad.ravel()
@@ -442,7 +478,8 @@ def solve(problem: OptimizationProblem, warm_start: np.ndarray | None = None) ->
         If the loop is closed but a round no longer lowers the stationarity
         residual (or after MAX_ROUNDS rounds).
 
-    Both exceptions carry the last iterate.
+    Both exceptions carry the last iterate as ``last_solution``; it and the
+    returned solution record every round in ``rounds``.
     """
     ws = _Workspace(problem)
     return _solve_in_workspace(ws, problem.lambda_inv, warm_start)
@@ -458,9 +495,17 @@ def _solve_in_workspace(ws: _Workspace, lam_inv: float, warm_start=None) -> Cont
     mu = MU / problem.tau
     y = np.zeros(3)
     best_bc = best_el = math.inf
+    rounds = []
     for _ in range(MAX_ROUNDS):
+        start = time.perf_counter()
         x, res = _minimize_round(ws, x, lam_inv, mu, y, tols.step_tol)
         sol = ws.evaluate(x, lam_inv, mu_final=mu)
+        rounds.append(SolveRound(
+            nit=int(res.nit), nfev=int(res.nfev), message=str(res.message),
+            bc_error=sol.bc_error, el_residual=sol.el_residual, y_norm=float(np.linalg.norm(y)),
+            seconds=time.perf_counter() - start,
+        ))
+        sol = replace(sol, rounds=tuple(rounds))
         bc_open = sol.bc_error > tols.bc_tol
         el_open = sol.el_residual > tols.el_tol
         if not (bc_open or el_open):
@@ -499,8 +544,8 @@ def sweep_lambda(problem: OptimizationProblem) -> SweepResult:
         try:
             sol = _solve_in_workspace(ws, lam_inv, warm_start=warm)
         except (BCUnreachable, NoDescent) as exc:
-            points.append(SweepPoint(lam_inv, None, error=str(exc)))
+            points.append(SweepPoint(lam_inv, None, error=str(exc), rounds=exc.last_solution.rounds))
             continue
-        points.append(SweepPoint(lam_inv, sol))
+        points.append(SweepPoint(lam_inv, sol, rounds=sol.rounds))
         warm = sol.deviation_cells
     return SweepResult(tuple(points))

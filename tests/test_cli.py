@@ -331,6 +331,55 @@ class TestSweepAndSolve:
         assert len(archive["t"]) == 65
 
 
+ROUND_KEYS = {"nit", "nfev", "message", "bc_error", "el_residual", "y_norm", "seconds"}
+
+
+class TestRoundRecord:
+    def test_solve_report_lists_rounds(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SPINCTL_OUT", str(tmp_path / "out"))
+        path = write_config(tmp_path, {
+            "kind": "solve", "tau": 1.0, "kernel": PAPER_KERNEL, "target": PAPER_TARGET,
+            "lambda_inv": 1.0, "grid_steps": 256, "refine_steps": 0,
+        })
+        assert main(["solve", str(path)]) == 0
+        (row,) = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
+        assert row["rounds"]
+        assert all(set(r) == ROUND_KEYS for r in row["rounds"])
+        last = row["rounds"][-1]
+        assert (last["el_residual"], last["bc_error"]) == (row["el_residual"], row["bc_error"])
+        assert all(r["nit"] >= 1 and r["nfev"] >= r["nit"] for r in row["rounds"])
+        # wall-clock data stays out of the archive
+        summary = json.loads((tmp_path / "out" / "solution.json").read_text())["summary"]
+        assert "rounds" not in summary
+
+    def test_failed_solve_is_an_error_row(self, tmp_path, monkeypatch, capsys):
+        # At n = 64 the lambda_inv = 50 optimum cannot certify (el ~ 8e-3 > 1e-4).
+        monkeypatch.setenv("SPINCTL_OUT", str(tmp_path / "out"))
+        path = write_config(tmp_path, {
+            "kind": "solve", "tau": 1.0, "kernel": PAPER_KERNEL, "target": PAPER_TARGET,
+            "lambda_inv": 50.0, "grid_steps": 64, "refine_steps": 0,
+        })
+        assert main(["solve", str(path)]) == 2
+        assert "solver failure at lambda_inv=50" in capsys.readouterr().err
+        (row,) = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
+        assert row["lambda_inv"] == 50.0 and "stationarity certificate" in row["error"]
+        assert row["rounds"] and all(set(r) == ROUND_KEYS for r in row["rounds"])
+        assert not (tmp_path / "out" / "solution.json").exists()
+
+    def test_sweep_error_row_lists_rounds(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SPINCTL_OUT", str(tmp_path / "out"))
+        path = write_config(tmp_path, {
+            "kind": "sweep", "tau": 1.0, "kernel": PAPER_KERNEL, "target": PAPER_TARGET,
+            "lambda_inv": [0.0, 50.0], "epsilon": [0.1], "two_s": [1],
+            "grid_steps": 64, "refine_steps": 0,
+        })
+        assert main(["sweep", str(path)]) == 2
+        drift, failed = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
+        assert drift["rounds"] == []  # lambda_inv = 0 runs no descent
+        assert "error" in failed and failed["rounds"]
+        assert all(set(r) == ROUND_KEYS for r in failed["rounds"])
+
+
 class TestMainEntry:
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, {"kind": "kernel-table"})

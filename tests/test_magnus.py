@@ -19,7 +19,7 @@ from spinctl.magnus import (
     solve_m_ode_batch,
     time_ordered_exp,
 )
-from spinctl.quat import PureQuat, qexp
+from spinctl.quat import PureQuat, qexp, qexp_vec, qproduct
 
 from conftest import fourier_path, quat_tuple
 
@@ -109,6 +109,19 @@ class TestTimeOrderedExp:
         view = np.ascontiguousarray(values.transpose(2, 1, 0)).transpose(2, 1, 0)
         assert view.strides[0] == view.itemsize
         np.testing.assert_array_equal(ordered_exp_batch(view, 0.8, grid.dt), ordered_exp_batch(values, 0.8, grid.dt))
+
+    def test_path_blocks_and_shared_node_sums_keep_bits(self):
+        # More paths than one step block, the last block partial; the
+        # reference forms every step of every path in one array.
+        grid = TimeGrid(1.0, 40)
+        rng = np.random.default_rng(25)
+        n_paths = 2 * magnus._BATCH_BLOCK + 7
+        field = np.ascontiguousarray(rng.normal(size=(3, grid.n_nodes, n_paths)))
+        values = field.transpose(2, 1, 0)
+        expect = qproduct(qexp_vec(0.25 * 0.8 * grid.dt * (values[:, :-1] + values[:, 1:])))
+        sums = (field[:, :-1] + field[:, 1:]).T
+        np.testing.assert_array_equal(ordered_exp_batch(values, 0.8, grid.dt), expect)
+        np.testing.assert_array_equal(ordered_exp_batch(values, 0.8, grid.dt, node_sums=sums), expect)
 
 
 class TestSolveMOde:
