@@ -339,7 +339,17 @@ def _run_mc_validate(config: RunConfig, out: Path):
     }
 
 
-def _solution_record(config, sol, refined):
+def _fidelity_columns(config: RunConfig) -> list[tuple[str, int, float]]:
+    """(column name, 2s, eps) of each weak-noise fidelity a solve or sweep reports, eps-major."""
+    return [(f"F_s{_spin_label(ts)}_eps{_fmt(eps)}", ts, eps) for eps in config.epsilon for ts in config.two_s]
+
+
+def _solution_record(config: RunConfig, problem: OptimizationProblem, sol) -> dict:
+    """Summary of one certified solution, as report.json and solution.json record it.
+
+    With ``refine_steps`` the solution's own cells are re-evaluated at its
+    own lambda_inv on the finer grid, and the fidelities use that S.
+    """
     rec = {
         "lambda_inv": sol.lambda_inv,
         "grid_steps": config.grid_steps,
@@ -350,10 +360,16 @@ def _solution_record(config, sol, refined):
         "bc_error": sol.bc_error,
         "mu_final": sol.mu_final,
     }
-    if refined is not None:
+    s_report = sol.S
+    if config.refine_steps:
+        problem = replace(problem, lambda_inv=sol.lambda_inv)
+        s_report = refine_deviation(problem, sol.deviation_cells, config.refine_steps).S
         rec["refine_steps"] = config.refine_steps
-        rec["S_refined"] = refined.S
-        rec["S_refine_delta"] = refined.S - sol.S
+        rec["S_refined"] = s_report
+        rec["S_refine_delta"] = s_report - sol.S
+    rec["fidelities"] = {
+        name: fidelity_weak(SpinNumber(ts), eps, s_report) for name, ts, eps in _fidelity_columns(config)
+    }
     return rec
 
 
@@ -373,11 +389,6 @@ def _run_solve(config: RunConfig, out: Path):
         sol = solve(problem)
     except (BCUnreachable, NoDescent) as exc:
         return [{"lambda_inv": lam, "error": str(exc), "rounds": _round_rows(exc.last_solution.rounds)}], {}
-    refined = (
-        refine_deviation(problem, sol.delta_omega_rot.values, config.refine_steps)
-        if config.refine_steps
-        else None
-    )
     t = grid.nodes
     lab = sol.control.omega_lab.values
     dom = sol.delta_omega.values
@@ -390,13 +401,7 @@ def _run_solve(config: RunConfig, out: Path):
         ["t", "omega_x", "omega_y", "omega_z", "d_omega_x", "d_omega_y", "d_omega_z"],
         rows,
     )
-    record = _solution_record(config, sol, refined)
-    fid = {}
-    s_report = refined.S if refined is not None else sol.S
-    for eps in config.epsilon:
-        for ts in config.two_s:
-            fid[f"F_s{_spin_label(ts)}_eps{_fmt(eps)}"] = fidelity_weak(SpinNumber(ts), eps, s_report)
-    record["fidelities"] = fid
+    record = _solution_record(config, problem, sol)
     archive = {
         "problem": _echo_problem(config, lam),
         "summary": record,
@@ -406,8 +411,7 @@ def _run_solve(config: RunConfig, out: Path):
         "delta_omega": dom.tolist(),
     }
     (out / "solution.json").write_text(json.dumps(archive, indent=1), newline="\n")
-    row = {**record, "rounds": _round_rows(sol.rounds)}
-    return [row], {"S_refine_delta": record.get("S_refine_delta", 0.0)}
+    return [{**record, "rounds": _round_rows(sol.rounds)}], {"S_refine_delta": record.get("S_refine_delta", 0.0)}
 
 
 def _echo_problem(config: RunConfig, lam):
@@ -430,10 +434,8 @@ def _run_sweep(config: RunConfig, out: Path):
         continuation=config.lambda_inv,
     )
     result = sweep_lambda(problem)
-    fid_cols = [
-        f"F_s{_spin_label(ts)}_eps{_fmt(eps)}" for eps in config.epsilon for ts in config.two_s
-    ]
-    header = ["lambda_inv", "grid_steps", "S", "E_out", "S_refined", "S_refine_delta"] + fid_cols
+    header = ["lambda_inv", "grid_steps", "S", "E_out", "S_refined", "S_refine_delta"]
+    header += [name for name, _, _ in _fidelity_columns(config)]
     rows = []
     report_rows = []
     deltas = {}
@@ -444,26 +446,12 @@ def _run_sweep(config: RunConfig, out: Path):
             )
             continue
         sol = point.solution
-        refined = (
-            refine_deviation(problem, sol.delta_omega_rot.values, config.refine_steps)
-            if config.refine_steps
-            else None
-        )
-        s_report = refined.S if refined is not None else sol.S
-        srow = [
-            point.lambda_inv, config.grid_steps, sol.S, sol.E_out,
-            s_report, (s_report - sol.S) if refined is not None else 0.0,
-        ]
-        fvals = [
-            fidelity_weak(SpinNumber(ts), eps, s_report)
-            for eps in config.epsilon for ts in config.two_s
-        ]
-        rows.append(srow + fvals)
-        rec = _solution_record(config, sol, refined)
-        rec["fidelities"] = dict(zip(fid_cols, fvals))
-        rec["rounds"] = _round_rows(point.rounds)
-        report_rows.append(rec)
-        deltas[f"lambda_inv={point.lambda_inv:g}"] = (s_report - sol.S) if refined is not None else 0.0
+        rec = _solution_record(config, problem, sol)
+        delta = rec.get("S_refine_delta", 0.0)
+        rows.append([point.lambda_inv, config.grid_steps, sol.S, sol.E_out, rec.get("S_refined", sol.S), delta]
+                    + list(rec["fidelities"].values()))
+        report_rows.append({**rec, "rounds": _round_rows(point.rounds)})
+        deltas[f"lambda_inv={point.lambda_inv:g}"] = delta
     _write_csv(out / "sweep.csv", header, rows)
     return report_rows, deltas
 

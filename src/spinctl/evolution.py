@@ -28,7 +28,6 @@ from .quat import (
     cross3,
     qexp,
     qexp_vec,
-    qconj_wxyz,
     qprefix,
     quat_to_matrix,
     qconj,
@@ -54,13 +53,11 @@ class TriadPath:
     """Time-sampled rigid rotating triad.
 
     ``values[k, i, :]`` holds the static-basis components of E_i(t_k); row i
-    of ``values[k]`` is therefore the i-th triad vector.  ``u_wxyz`` is the
-    equivalent unit-quaternion track with E_i(t_k) = u_k e_i conj(u_k).
+    of ``values[k]`` is therefore the i-th triad vector.
     """
 
     grid: TimeGrid
     values: np.ndarray
-    u_wxyz: np.ndarray | None = None
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.values, dtype=float))
@@ -70,12 +67,6 @@ class TriadPath:
             raise ValueError("triad values must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        if self.u_wxyz is not None:
-            u = np.ascontiguousarray(np.asarray(self.u_wxyz, dtype=float))
-            if u.shape != (self.grid.n_nodes, 4):
-                raise ValueError("quaternion track must have shape (n_nodes, 4)")
-            u.setflags(write=False)
-            object.__setattr__(self, "u_wxyz", u)
 
     def E(self, i: int) -> np.ndarray:
         """Components of E_i over all nodes, shape (n_nodes, 3)."""
@@ -136,19 +127,17 @@ def propagate_triad(omega_rot: PurePath, grid: TimeGrid | None = None) -> TriadP
     Starts from the static triad E_i(0) = e_i and composes one incremental
     unit quaternion per step, u_{k+1} = u_k exp(-(dt/2) omega(t*)), with
     midpoint field values.  The right-multiplied chain is the conjugate of
-    the left-multiplied prefix of conj(s_j) = exp(+(dt/2) omega(t*)), taken
-    by ``qprefix`` and renormalized, so orthonormality holds to rounding
-    over arbitrarily many steps.
+    the left-multiplied prefix p_k of conj(s_j) = exp(+(dt/2) omega(t*)),
+    taken by ``qprefix`` and renormalized, so orthonormality holds to
+    rounding over arbitrarily many steps.
     """
     if grid is None:
         grid = omega_rot.grid
     elif grid != omega_rot.grid:
         raise ValueError("grid disagrees with the control path's grid")
     v = omega_rot.values
-    us = qconj_wxyz(qprefix(qexp_vec(0.25 * grid.dt * (v[:-1] + v[1:]))))
-    # Row i of the triad matrix is E_i = u e_i conj(u), i.e. R(u) transposed.
-    mats = np.swapaxes(quat_to_matrix(us), 1, 2)
-    return TriadPath(grid, mats, u_wxyz=us)
+    # Row i of the triad matrix is E_i = u e_i conj(u), i.e. R(u)^T = R(conj u) = R(p).
+    return TriadPath(grid, quat_to_matrix(qprefix(qexp_vec(0.25 * grid.dt * (v[:-1] + v[1:])))))
 
 
 def omega_from_triad(triad: TriadPath) -> ControlPath:

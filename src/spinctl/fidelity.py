@@ -107,22 +107,29 @@ def amplitude_half(m_tau: float, epsilon) -> float:
     return math.cos(0.5 * float(epsilon) * m_tau)
 
 
+def _spin_lift(theta, spin: SpinNumber):
+    """(2s+1)^-1 sum_j exp(-i j theta) for a float or an array of theta.
+
+    The +-j terms pair into cosines, so the value is exactly real: one
+    cosine sum over j > 0 (plus the j = 0 term for integer s).
+    """
+    two_s = spin.two_s
+    if two_s % 2 == 0:
+        js = np.arange(1, two_s // 2 + 1)
+        total = 1.0 + 2.0 * np.sum(np.cos(np.multiply.outer(js, theta)), axis=0)
+    else:
+        js = 0.5 + np.arange((two_s + 1) // 2)
+        total = 2.0 * np.sum(np.cos(np.multiply.outer(js, theta)), axis=0)
+    return total / spin.multiplicity
+
+
 def amplitude_s(spin: SpinNumber, m_tau: float, epsilon) -> complex:
     """Spin-s amplitude (2s+1)^-1 sum_j exp(-i j eps m(tau)).
 
     The +-j terms pair into cosines, so the value is exactly real; it is
     returned as a complex number to match the estimator's accumulation.
     """
-    eps = float(epsilon)
-    theta = eps * m_tau
-    two_s = spin.two_s
-    if two_s % 2 == 0:
-        js = np.arange(1, two_s // 2 + 1)
-        total = 1.0 + 2.0 * float(np.sum(np.cos(js * theta)))
-    else:
-        js = 0.5 + np.arange((two_s + 1) // 2)
-        total = 2.0 * float(np.sum(np.cos(js * theta)))
-    return complex(total / spin.multiplicity, 0.0)
+    return complex(_spin_lift(float(epsilon) * m_tau, spin), 0.0)
 
 
 def chebyshev_U(j: int, x: float) -> float:
@@ -150,16 +157,8 @@ def chebyshev_U(j: int, x: float) -> float:
 
 
 def _amplitudes_from_half(a_half: np.ndarray, spin: SpinNumber) -> np.ndarray:
-    """Lift spin-1/2 amplitudes to spin s; exactly real by the +-j pairing."""
-    phi = np.arccos(np.clip(a_half, -1.0, 1.0))
-    two_s = spin.two_s
-    if two_s % 2 == 0:
-        js = np.arange(1, two_s // 2 + 1)
-        total = 1.0 + 2.0 * np.sum(np.cos(2.0 * js[:, None] * phi[None, :]), axis=0)
-    else:
-        js = 0.5 + np.arange((two_s + 1) // 2)
-        total = 2.0 * np.sum(np.cos(2.0 * js[:, None] * phi[None, :]), axis=0)
-    return total / spin.multiplicity
+    """Lift spin-1/2 amplitudes a = cos(theta/2) to spin s."""
+    return _spin_lift(2.0 * np.arccos(np.clip(a_half, -1.0, 1.0)), spin)
 
 
 def _estimate(

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonConvergence, SingularCot, UnsupportedOrder
-from .quat import PureQuat, UnitQuat, cross3, qexp_vec, qproduct
+from .quat import UnitQuat, cross3, qexp_vec, qproduct
 
 __all__ = [
     "TimeGrid",
@@ -74,8 +74,12 @@ class TimeGrid:
         t.setflags(write=False)
         return t
 
-    def refined(self, factor: int = 2) -> "TimeGrid":
-        return TimeGrid(self.tau, self.n_steps * factor)
+    @cached_property
+    def centers(self) -> np.ndarray:
+        """Cell centers (t_k + t_{k+1}) / 2, shape (n_steps,)."""
+        t = 0.5 * (self.nodes[:-1] + self.nodes[1:])
+        t.setflags(write=False)
+        return t
 
 
 @dataclass(frozen=True)
@@ -97,10 +101,6 @@ class PurePath:
             raise ValueError("path values must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-    def at(self, k: int) -> PureQuat:
-        x, y, z = self.values[k]
-        return PureQuat(float(x), float(y), float(z))
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +223,28 @@ def _interval_midpoints(v: np.ndarray, lo: int = 0, hi: int | None = None) -> np
     return mids
 
 
+def _m_rhs(nx, ny, nz, mx, my, mz, half_eps, eps2, h_of_y2):
+    """Right-hand side n - (eps/2) m x n + eps^2 h(eps |m|) m x (m x n) of the rotation-vector equation.
+
+    The components, ``half_eps`` = eps/2 and ``eps2`` = eps^2 are floats for
+    one lane, or same-shape arrays for lanes (or nodes) evaluated together,
+    and ``h_of_y2`` takes the same type.  Returns the (x, y, z) components.
+    """
+    cx = my * nz - mz * ny
+    cy = mz * nx - mx * nz
+    cz = mx * ny - my * nx
+    m2 = mx * mx + my * my + mz * mz
+    h = h_of_y2(eps2 * m2)
+    mdotn = mx * nx + my * ny + mz * nz
+    # m x (m x n) = m (m.n) - n |m|^2
+    f = eps2 * h
+    return (
+        nx - half_eps * cx + f * (mx * mdotn - nx * m2),
+        ny - half_eps * cy + f * (my * mdotn - ny * m2),
+        nz - half_eps * cz + f * (mz * mdotn - nz * m2),
+    )
+
+
 def _rk4_m(steps, eps, dt: float, h_of_y2):
     """Classic RK4 for the rotation-vector equation from m(0) = 0; yields m after each step.
 
@@ -232,32 +254,15 @@ def _rk4_m(steps, eps, dt: float, h_of_y2):
     takes the same type.  Every lane sees the same arithmetic in the same
     order, so a lane stepped in a batch has the bits of its one-lane run.
     """
-    half_eps = 0.5 * eps
-    eps2 = eps * eps
-
-    def rhs(nx, ny, nz, mx, my, mz):
-        cx = my * nz - mz * ny
-        cy = mz * nx - mx * nz
-        cz = mx * ny - my * nx
-        m2 = mx * mx + my * my + mz * mz
-        h = h_of_y2(eps2 * m2)
-        mdotn = mx * nx + my * ny + mz * nz
-        # m x (m x n) = m (m.n) - n |m|^2
-        f = eps2 * h
-        return (
-            nx - half_eps * cx + f * (mx * mdotn - nx * m2),
-            ny - half_eps * cy + f * (my * mdotn - ny * m2),
-            nz - half_eps * cz + f * (mz * mdotn - nz * m2),
-        )
-
+    coef = (0.5 * eps, eps * eps, h_of_y2)
     mx = my = mz = 0.0
     h2 = 0.5 * dt
     h6 = dt / 6.0
     for (n0x, n0y, n0z), (nmx, nmy, nmz), (n1x, n1y, n1z) in steps:
-        k1 = rhs(n0x, n0y, n0z, mx, my, mz)
-        k2 = rhs(nmx, nmy, nmz, mx + h2 * k1[0], my + h2 * k1[1], mz + h2 * k1[2])
-        k3 = rhs(nmx, nmy, nmz, mx + h2 * k2[0], my + h2 * k2[1], mz + h2 * k2[2])
-        k4 = rhs(n1x, n1y, n1z, mx + dt * k3[0], my + dt * k3[1], mz + dt * k3[2])
+        k1 = _m_rhs(n0x, n0y, n0z, mx, my, mz, *coef)
+        k2 = _m_rhs(nmx, nmy, nmz, mx + h2 * k1[0], my + h2 * k1[1], mz + h2 * k1[2], *coef)
+        k3 = _m_rhs(nmx, nmy, nmz, mx + h2 * k2[0], my + h2 * k2[1], mz + h2 * k2[2], *coef)
+        k4 = _m_rhs(n1x, n1y, n1z, mx + dt * k3[0], my + dt * k3[1], mz + dt * k3[2], *coef)
         mx = mx + h6 * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
         my = my + h6 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
         mz = mz + h6 * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
@@ -461,22 +466,14 @@ def magnus_iterate(n: PurePath, epsilon, iterations: int) -> MagnusIterateResult
     eps = float(epsilon)
     v = n.values
     dt = n.grid.dt
-    eps2 = eps * eps
 
     cur = _cumtrapz(v, dt)
     change = math.inf
     changes: list[float] = []
     grew = 0
     for _ in range(iterations):
-        m2 = np.sum(cur * cur, axis=1)
-        h = _h_of_y2_lanes(eps2 * m2)
-        mdotn = np.sum(cur * v, axis=1)
-        rhs = (
-            v
-            - 0.5 * eps * cross3(cur, v)
-            + (eps2 * h)[:, None] * (cur * mdotn[:, None] - v * m2[:, None])
-        )
-        nxt = _cumtrapz(rhs, dt)
+        rhs = _m_rhs(*v.T, *cur.T, 0.5 * eps, eps * eps, _h_of_y2_lanes)
+        nxt = _cumtrapz(np.stack(rhs, axis=1), dt)
         change = float(np.max(np.sqrt(np.sum((nxt - cur) ** 2, axis=1))))
         if changes and change > changes[-1]:
             grew += 1

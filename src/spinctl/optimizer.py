@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -171,8 +172,22 @@ class SweepResult:
 
 def _resample_cells(cells: np.ndarray, grid: TimeGrid, t_dst: np.ndarray) -> np.ndarray:
     """Cubic-spline resampling of cell values from a grid's cell centers to times ``t_dst``."""
-    tsrc = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
-    return CubicSpline(tsrc, cells, axis=0)(t_dst)
+    return CubicSpline(grid.centers, cells, axis=0)(t_dst)
+
+
+def _coerce_cells(x: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Cell values of a cell (n_steps, 3) or nodal (n_nodes, 3) deviation on ``grid``.
+
+    Nodal input is averaged onto the cells, which does not invert the
+    solver's nodal reconstruction: pass ``deviation_cells`` to keep a
+    solution's own cells.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape == (grid.n_steps, 3):
+        return x
+    if x.shape == (grid.n_nodes, 3):
+        return 0.5 * (x[:-1] + x[1:])
+    raise ValueError(f"deviation must have shape ({grid.n_steps}, 3) or ({grid.n_nodes}, 3)")
 
 
 def _rotations(cells: np.ndarray, dt: float) -> np.ndarray:
@@ -184,6 +199,16 @@ def _rotations(cells: np.ndarray, dt: float) -> np.ndarray:
 # this many times finer than the transcription, so evaluation error sits far
 # below the certified tolerance.
 CERTIFICATE_REFINE = 4
+
+
+def _certificate(problem: OptimizationProblem) -> "_Workspace":
+    """The solver workspace on the grid CERTIFICATE_REFINE times finer, where the certificate is evaluated."""
+    return _Workspace(replace(problem, grid=TimeGrid(problem.tau, CERTIFICATE_REFINE * problem.grid.n_steps)))
+
+
+def _certify(cert: "_Workspace", grid: TimeGrid, cells: np.ndarray, lam_inv: float) -> float:
+    """Certificate of cell values on ``grid``, resampled onto the certificate workspace's cells."""
+    return cert.residual(_resample_cells(cells, grid, cert.problem.grid.centers), lam_inv)
 
 
 def el_residual(solution: ControlSolution, problem: OptimizationProblem) -> float:
@@ -198,45 +223,8 @@ def el_residual(solution: ControlSolution, problem: OptimizationProblem) -> floa
 
     The minimizer never uses this equation; it is a post-hoc certificate.
     """
-    cert = _Certificate(problem, CERTIFICATE_REFINE * problem.grid.n_steps)
-    cells = _Workspace(problem).coerce_cells(solution.deviation_cells)
-    return cert.residual_from_coarse(problem.grid, cells, solution.lambda_inv)
-
-
-class _Certificate:
-    """Force-balance evaluator on a dedicated (finer) grid."""
-
-    def __init__(self, problem: OptimizationProblem, n_steps: int):
-        self.problem = problem
-        self.dt = problem.tau / n_steps
-        nodes = self.dt * np.arange(n_steps + 1)
-        self.centers = 0.5 * (nodes[:-1] + nodes[1:])
-        self.drift = drift_for_target(problem.target, problem.tau).as_array()
-        self.amats_c = quat_to_matrix(qexp_vec(-0.5 * self.centers[:, None] * self.drift[None, :]))
-        self.conv = LagConvolution.cells(problem.kernel, n_steps, self.dt)
-
-    def residual_from_coarse(self, coarse_grid: TimeGrid, cells: np.ndarray, lam_inv: float) -> float:
-        return self.residual(_resample_cells(cells, coarse_grid, self.centers), lam_inv)
-
-    def residual(self, cells: np.ndarray, lam_inv: float) -> float:
-        dt = self.dt
-        omega_star = np.einsum("kab,kb->ka", self.amats_c, self.drift[None, :] + cells)
-        dom = _central_diff(omega_star, dt)
-        drift_norm = float(np.linalg.norm(self.drift))
-        if lam_inv == 0.0:
-            return float(np.max(np.linalg.norm(dom, axis=1))) * self.problem.tau / max(drift_norm, 1e-300)
-
-        rmats = _rotations(cells, dt)
-        rstars = quat_to_matrix(qexp_vec(-0.25 * dt * cells)) @ rmats[:-1]
-        lstars = self.amats_c @ rstars
-        lam = 1.0 / lam_inv
-        p = self.conv.project(lstars)
-        d = self.conv(p)
-        force = np.sum(cross3(p, d), axis=0)
-        dual_scale = float(np.max(np.sum(np.linalg.norm(self.conv.dual(d), axis=2), axis=1)))
-        resid = lam * dom + force
-        norm = lam * drift_norm / self.problem.tau + dual_scale
-        return float(np.max(np.linalg.norm(resid, axis=1))) / norm
+    cells = _coerce_cells(solution.deviation_cells, problem.grid)
+    return _certify(_certificate(problem), problem.grid, cells, solution.lambda_inv)
 
 
 def _vee(b: np.ndarray) -> np.ndarray:
@@ -255,27 +243,39 @@ class _Workspace:
     (n_steps, 3)).  Cell-centered controls leave the propagation chain with
     no null modes, so the discrete stationarity conditions approximate the
     continuum force balance uniformly up to the grid order; nodal histories
-    are recovered by second-order interpolation for reporting.
+    are recovered by second-order interpolation for reporting.  The
+    certificate is the same workspace on a finer grid (``certificate``);
+    nodal quantities are built on first use, so it builds only cell ones.
     """
 
     def __init__(self, problem: OptimizationProblem):
         self.problem = problem
-        self._certificate = None
         grid = problem.grid
         self.n = grid.n_nodes
         self.dt = grid.dt
         self.drift = drift_for_target(problem.target, problem.tau).as_array()
-        # Drift de-rotation matrices A_k = R(conj(u0(t_k))), u0 = exp(t/2 Omega_D),
-        # at the nodes (for reporting) and at the cell centers (for the objective).
-        u0bar = qexp_vec(-0.5 * grid.nodes[:, None] * self.drift[None, :])
-        self.amats = quat_to_matrix(u0bar)
-        centers = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
-        self.amats_c = quat_to_matrix(qexp_vec(-0.5 * centers[:, None] * self.drift[None, :]))
-        self.nodes_conv = LagConvolution.nodes(problem.kernel, grid)
+        # Drift de-rotation matrices A_k = R(conj(u0(t))), u0 = exp(t/2 Omega_D),
+        # at the cell centers (for the objective and certificate).
+        self.amats_c = self._drift_frames(grid.centers)
         self.cells_conv = LagConvolution.cells(problem.kernel, self.n - 1, self.dt)
 
-    def cells_from_nodes(self, x_nodes: np.ndarray) -> np.ndarray:
-        return 0.5 * (x_nodes[:-1] + x_nodes[1:])
+    def _drift_frames(self, t: np.ndarray) -> np.ndarray:
+        return quat_to_matrix(qexp_vec(-0.5 * t[:, None] * self.drift[None, :]))
+
+    @cached_property
+    def amats(self) -> np.ndarray:
+        """Drift de-rotation matrices at the nodes (for reporting)."""
+        return self._drift_frames(self.problem.grid.nodes)
+
+    @cached_property
+    def nodes_conv(self) -> LagConvolution:
+        """Nodal trapezoid convolution of the reported action."""
+        return LagConvolution.nodes(self.problem.kernel, self.problem.grid)
+
+    @cached_property
+    def certificate(self) -> "_Workspace":
+        """The certificate workspace (``_certificate``), built on first use."""
+        return _certificate(self.problem)
 
     def nodes_from_cells(self, cells: np.ndarray) -> np.ndarray:
         """Second-order reconstruction of nodal values from cell values."""
@@ -285,22 +285,9 @@ class _Workspace:
         out[-1] = 1.5 * cells[-1] - 0.5 * cells[-2]
         return out
 
-    def coerce_cells(self, x: np.ndarray) -> np.ndarray:
-        """Accept either a cell (n_steps, 3) or nodal (n_nodes, 3) deviation."""
-        x = np.asarray(x, dtype=float)
-        if x.shape == (self.n - 1, 3):
-            return x
-        if x.shape == (self.n, 3):
-            return self.cells_from_nodes(x)
-        raise ValueError(f"deviation must have shape ({self.n - 1}, 3) or ({self.n}, 3)")
-
     def el_residual_cells(self, cells: np.ndarray, lam_inv: float) -> float:
         """Force-balance certificate on the refined evaluation grid."""
-        if self._certificate is None:
-            self._certificate = _Certificate(
-                self.problem, CERTIFICATE_REFINE * self.problem.grid.n_steps
-            )
-        return self._certificate.residual_from_coarse(self.problem.grid, cells, lam_inv)
+        return _certify(self.certificate, self.problem.grid, cells, lam_inv)
 
     @staticmethod
     def _action_core(conv: LagConvolution, lmats: np.ndarray) -> tuple[float, np.ndarray]:
@@ -309,10 +296,6 @@ class _Workspace:
         u = np.einsum("kab,rka->rkb", lmats, d)  # L_k^T D_r[k]
         torque = conv.weights[:, None] * np.sum(cross3(conv.axes[:, None, :], u), axis=0)
         return s_val, torque
-
-    def action_nodal(self, lmats: np.ndarray) -> float:
-        """Reported action: nodal trapezoid, identical to the fidelity module's."""
-        return self.nodes_conv.action(lmats)[0]
 
     @staticmethod
     def _jl_transpose_apply(phi: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -333,6 +316,20 @@ class _Workspace:
         pxv = cross3(phi, vec)
         return vec - c1[:, None] * pxv + c2[:, None] * cross3(phi, pxv)
 
+    def _chain(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Chain rotations R_k (n_nodes), half-step rotations R*_k and lab matrices A_k R*_k at the cells.
+
+        The chain steps exp(-(dt/2) c_k) and the half steps Rot(phi_k/2),
+        phi_k = -dt c_k, share one exponential and one matrix conversion;
+        R_k has the bits of ``_rotations(cells, dt)``.
+        """
+        m = len(cells)
+        units = qexp_vec(np.concatenate([-0.5 * self.dt * cells, -0.25 * self.dt * cells]))
+        mats = quat_to_matrix(np.concatenate([qprefix(units[:m]), units[m:]]))
+        rmats, half_steps = mats[: m + 1], mats[m + 1 :]
+        rstars = half_steps @ rmats[:-1]
+        return rmats, rstars, self.amats_c @ rstars
+
     def objective(
         self, xflat: np.ndarray, lam_inv: float, mu: float, y: np.ndarray
     ) -> tuple[float, np.ndarray]:
@@ -346,15 +343,8 @@ class _Workspace:
         """
         m = self.n - 1
         cells = xflat.reshape(m, 3)
-        # The chain steps exp(-(dt/2) c_k) and the half steps Rot(phi/2) share
-        # one exponential and one matrix conversion; rmats has the bits of
-        # ``_rotations(cells, dt)``.
-        units = qexp_vec(np.concatenate([-0.5 * self.dt * cells, -0.25 * self.dt * cells]))
-        mats = quat_to_matrix(np.concatenate([qprefix(units[:m]), units[m:]]))
-        rmats, half_steps = mats[: m + 1], mats[m + 1 :]
+        rmats, rstars, lstars = self._chain(cells)
         phi = -self.dt * cells
-        rstars = half_steps @ rmats[:-1]
-        lstars = self.amats_c @ rstars
 
         s_val, torque = self._action_core(self.cells_conv, lstars)
         torque = torque * lam_inv  # body-frame torque per cell
@@ -384,12 +374,31 @@ class _Workspace:
         grad = self.dt * omega - self.dt * dphi
         return j_val, grad.ravel()
 
+    def residual(self, cells: np.ndarray, lam_inv: float) -> float:
+        """Force-balance residual of cell values on this workspace's grid (see ``el_residual``)."""
+        omega_star = np.einsum("kab,kb->ka", self.amats_c, self.drift[None, :] + cells)
+        dom = _central_diff(omega_star, self.dt)
+        drift_norm = float(np.linalg.norm(self.drift))
+        if lam_inv == 0.0:
+            return float(np.max(np.linalg.norm(dom, axis=1))) * self.problem.tau / max(drift_norm, 1e-300)
+
+        _, _, lstars = self._chain(cells)
+        conv = self.cells_conv
+        lam = 1.0 / lam_inv
+        p = conv.project(lstars)
+        d = conv(p)
+        force = np.sum(cross3(p, d), axis=0)
+        dual_scale = float(np.max(np.sum(np.linalg.norm(conv.dual(d), axis=2), axis=1)))
+        resid = lam * dom + force
+        norm = lam * drift_norm / self.problem.tau + dual_scale
+        return float(np.max(np.linalg.norm(resid, axis=1))) / norm
+
     # -- solution assembly ---------------------------------------------------
 
     def evaluate(self, x: np.ndarray, lam_inv: float, mu_final: float = 0.0) -> ControlSolution:
         problem = self.problem
         grid = problem.grid
-        cells = self.coerce_cells(x)
+        cells = _coerce_cells(x, grid)
         x_nodes = self.nodes_from_cells(cells)
         rmats = _rotations(cells, self.dt)
         lmats = self.amats @ rmats
@@ -400,7 +409,8 @@ class _Workspace:
         control = ControlPath(grid, PurePath(grid, omega_rot), PurePath(grid, omega_body))
         delta_omega = PurePath(grid, omega_body - self.drift[None, :])
 
-        s_val = self.action_nodal(lmats)
+        # Reported action: nodal trapezoid, identical to the fidelity module's.
+        s_val = self.nodes_conv.action(lmats)[0]
         omega_cells = self.drift[None, :] + cells
         e_out = 0.5 * self.dt * float(np.sum(omega_cells * omega_cells))
         s_c = math.inf if lam_inv == 0.0 else s_val + e_out / lam_inv
@@ -426,7 +436,8 @@ def evaluate_deviation(problem: OptimizationProblem, x: np.ndarray) -> ControlSo
     """Assemble the full solution bundle for a given deviation history.
 
     No optimization is performed; useful for baselines, perturbation tests
-    and re-evaluating stored deviations on other grids.
+    and re-evaluating stored deviations on other grids.  ``x`` may be a
+    cell (n_steps, 3) or nodal (n_nodes, 3) history.
     """
     ws = _Workspace(problem)
     return ws.evaluate(x, problem.lambda_inv)
@@ -436,14 +447,13 @@ def refine_deviation(problem: OptimizationProblem, x: np.ndarray, n_steps: int) 
     """Re-evaluate a deviation history on a finer grid (cubic resampling).
 
     ``x`` may be a cell (n_steps, 3) or nodal (n_nodes, 3) history on the
-    problem grid; it is resampled onto the finer grid's cell centers.
+    problem grid; it is resampled onto the finer grid's cell centers.  Pass
+    a solution's ``deviation_cells``: nodal input is averaged onto cells
+    first (see ``_coerce_cells``).
     """
     fine_grid = TimeGrid(problem.tau, n_steps)
-    fine_problem = replace(problem, grid=fine_grid)
-    coarse = _Workspace(problem)
-    cells = coarse.coerce_cells(x)
-    tdst = 0.5 * (fine_grid.nodes[:-1] + fine_grid.nodes[1:])
-    return evaluate_deviation(fine_problem, _resample_cells(cells, problem.grid, tdst))
+    cells = _resample_cells(_coerce_cells(x, problem.grid), problem.grid, fine_grid.centers)
+    return evaluate_deviation(replace(problem, grid=fine_grid), cells)
 
 
 def _minimize_round(ws, x, lam_inv, mu, y, step_tol):
@@ -491,7 +501,7 @@ def _solve_in_workspace(ws: _Workspace, lam_inv: float, warm_start=None) -> Cont
     if lam_inv == 0.0:
         return ws.evaluate(np.zeros((ws.n - 1, 3)), 0.0)
 
-    x = np.zeros((ws.n - 1, 3)) if warm_start is None else ws.coerce_cells(warm_start).copy()
+    x = np.zeros((ws.n - 1, 3)) if warm_start is None else _coerce_cells(warm_start, problem.grid).copy()
     mu = MU / problem.tau
     y = np.zeros(3)
     best_bc = best_el = math.inf

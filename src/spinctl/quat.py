@@ -42,7 +42,6 @@ __all__ = [
     "qlog",
     "rotate",
     "qmul_wxyz",
-    "qconj_wxyz",
     "cross3",
     "qexp_vec",
     "qprefix",
@@ -289,12 +288,6 @@ def qmul_wxyz(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np
         acc = np.multiply(ac[i], bc[j], out[..., k])
         for op, i, j in terms:
             op(acc, np.multiply(ac[i], bc[j], tmp), acc)
-    return out
-
-
-def qconj_wxyz(a: np.ndarray) -> np.ndarray:
-    out = a.copy()
-    out[..., 1:] *= -1.0
     return out
 
 

@@ -11,6 +11,7 @@ from spinctl import fidelity
 from spinctl.cli import RunConfig, main, run, validate_config
 from spinctl.errors import ConfigError
 from spinctl.magnus import TimeGrid, random_smooth_path, solve_m_ode, time_ordered_exp
+from spinctl.optimizer import OptimizationProblem, refine_deviation, solve
 from spinctl.quat import PureQuat, qexp
 
 PAPER_KERNEL = {"type": "one_over_f", "xi": 8.0, "gamma_lo": 0.1, "gamma_hi": 20.0}
@@ -329,6 +330,23 @@ class TestSweepAndSolve:
         archive = json.loads((tmp_path / "out" / "solution.json").read_text())
         assert archive["problem"]["lambda_inv"] == 0.0
         assert len(archive["t"]) == 65
+
+    def test_solve_refines_the_solver_cells(self, tmp_path, monkeypatch):
+        # S_refined re-evaluates the solver's own cell values, not its nodal
+        # history averaged back onto cells (which smooths them).
+        monkeypatch.setenv("SPINCTL_OUT", str(tmp_path / "out"))
+        config = validate_config(json.dumps({
+            "kind": "solve", "tau": 1.0, "kernel": PAPER_KERNEL, "target": PAPER_TARGET,
+            "lambda_inv": 1.0, "grid_steps": 256, "refine_steps": 512,
+        }))
+        (row,) = run(config).rows
+        problem = OptimizationProblem(
+            kernel=config.kernel, target=config.target, tau=1.0, lambda_inv=1.0, grid=TimeGrid(1.0, 256)
+        )
+        want = refine_deviation(problem, solve(problem).deviation_cells, 512).S
+        assert row["S_refined"] == want
+        summary = json.loads((tmp_path / "out" / "solution.json").read_text())["summary"]
+        assert summary["S_refined"] == want
 
 
 ROUND_KEYS = {"nit", "nfev", "message", "bc_error", "el_residual", "y_norm", "seconds"}

@@ -214,6 +214,8 @@ class TestSolveCertificates:
         problem, sol = solved_50
         assert sol.bc_error <= problem.tolerances.bc_tol
         assert sol.el_residual <= problem.tolerances.el_tol
+        # the public certificate re-evaluates the solver's own one, bit for bit
+        assert el_residual(sol, problem) == sol.el_residual
         assert sol.triad.orthonormality_defect() < 1e-9
         # boundary triads met in the lab frame
         from spinctl.evolution import boundary_triad
