@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import AxisRequired
-from .magnus import PurePath, TimeGrid, _central_diff, _cumtrapz
+from .magnus import PurePath, TimeGrid, _central_diff
 from .quat import (
     PureQuat,
     UnitQuat,
@@ -37,10 +36,8 @@ __all__ = [
     "TriadPath",
     "ControlPath",
     "TargetRotation",
-    "PowerPath",
     "propagate_triad",
     "omega_from_triad",
-    "power",
     "boundary_triad",
     "drift_for_target",
 ]
@@ -113,14 +110,6 @@ class ControlPath:
             raise ValueError("|Omega(t)| and |omega(t)| disagree: frames inconsistent")
 
 
-class PowerPath(NamedTuple):
-    """Instantaneous output power |Omega(t)|^2 and its half-integral."""
-
-    grid: TimeGrid
-    values: np.ndarray
-    energy_output: float
-
-
 def propagate_triad(omega_rot: PurePath, grid: TimeGrid | None = None) -> TriadPath:
     """Integrate the rigid rotation generated by the component triple omega^i(t).
 
@@ -156,36 +145,6 @@ def omega_from_triad(triad: TriadPath) -> ControlPath:
     )
     rot = np.einsum("ki,kic->kc", lab, v)
     return ControlPath(triad.grid, PurePath(triad.grid, rot), PurePath(triad.grid, lab))
-
-
-def _power_wedge(values: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """|Omega|^2 from (1/2) eps^{ijk} E_i . (dE_j ^ dE_k).
-
-    The full index sum counts each cyclic triple twice, leaving the plain
-    cyclic sum.
-    """
-    return (
-        np.einsum("kc,kc->k", values[:, 0], cross3(rates[:, 1], rates[:, 2]))
-        + np.einsum("kc,kc->k", values[:, 1], cross3(rates[:, 2], rates[:, 0]))
-        + np.einsum("kc,kc->k", values[:, 2], cross3(rates[:, 0], rates[:, 1]))
-    )
-
-
-def power(obj: TriadPath | ControlPath) -> PowerPath:
-    """Output power |Omega(t)|^2 per node and the energy output int |Omega|^2/2 dt.
-
-    For a triad input the power is evaluated from the lower-order wedge form
-    (1/2) eps^{ijk} E_i . (dE_j ^ dE_k) with central-difference rates; for a
-    control input it is simply the squared modulus of the field.
-    """
-    if isinstance(obj, ControlPath):
-        vals = np.sum(obj.omega_rot.values**2, axis=1)
-        grid = obj.grid
-    else:
-        vals = _power_wedge(obj.values, _central_diff(obj.values, obj.grid.dt))
-        grid = obj.grid
-    e_out = float(_cumtrapz(0.5 * vals, grid.dt)[-1])
-    return PowerPath(grid, vals, e_out)
 
 
 @dataclass(frozen=True)

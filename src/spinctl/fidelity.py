@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateSample, DomainError
 from .evolution import TriadPath
-from .magnus import ordered_exp_batch
+from .magnus import _PATH_BLOCK, ordered_exp_batch
 from .noise import LagConvolution, NoiseKernel, assemble_covariance, sample_block
 
 __all__ = [
@@ -32,8 +32,6 @@ __all__ = [
     "mc_fidelity",
     "mc_fidelity_table",
 ]
-
-_MC_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -194,11 +192,14 @@ def mc_fidelity_table(
     scalar part lifted to every requested spin.  The noise enters the
     spin-s amplitude only through the spin-1/2 ordered exponential, and
     epsilon only through that product, so each kernel term is factorized
-    once, each chunk of paths is drawn and rotated and its node sums are
-    formed once, and the ordered product runs once per (chunk, epsilon).
-    Path p always draws from Philox substream p of the seed, so every cell
-    is chunking-independent and equals a separate ``mc_fidelity`` call bit
-    for bit.  Sample means use compensated summation.
+    once.  Paths then run in blocks of ``magnus._PATH_BLOCK``: each block is
+    drawn and rotated and its node sums are formed once, its ordered product
+    runs once per epsilon, and it is lifted to every spin before the next
+    block is drawn, so the working set does not grow with ``count``.  Path p
+    always draws from Philox substream p of the seed, so every cell equals a
+    separate ``mc_fidelity`` call bit for bit; another block size can move
+    a path only by the coloring matmul's rounding.  Sample means use
+    compensated summation.
 
     Returns
     -------
@@ -214,9 +215,9 @@ def mc_fidelity_table(
     # B_r[k] = E_k^T a_r: the rotating-frame image of kernel term r at node k.
     proj = np.einsum("ri,kic->rkc", kernel.axes, triad.values)
 
-    chunks = [[[] for _ in spins] for _ in epsilons]
-    for start in range(0, count, _MC_CHUNK):
-        xi = sample_block(cov, seed, start, min(_MC_CHUNK, count - start))
+    blocks = [[[] for _ in spins] for _ in epsilons]
+    for start in range(0, count, _PATH_BLOCK):
+        xi = sample_block(cov, seed, start, min(_PATH_BLOCK, count - start))
         # Component-major (3, n_nodes, paths), the ordered product's fast
         # layout, by one transposing pass over xi; rot.T is (paths, n_nodes, 3).
         rot = np.empty((3, grid.n_nodes, len(xi)))
@@ -224,8 +225,8 @@ def mc_fidelity_table(
         for r in range(1, len(proj)):
             rot += proj[r].T[:, :, None] * xi[:, r].T
         del xi  # free the draw before the node sums are allocated
-        sums = rot[:, :-1] + rot[:, 1:]  # epsilon-independent, so formed once per chunk
-        for row, eps in zip(chunks, epsilons):
+        sums = rot[:, :-1] + rot[:, 1:]  # epsilon-independent, so formed once per block
+        for row, eps in zip(blocks, epsilons):
             a_half = ordered_exp_batch(rot.T, eps, grid.dt, node_sums=sums.T)[:, 0]
             for cell, spin in zip(row, spins):
                 cell.append(_amplitudes_from_half(a_half, spin))
@@ -233,7 +234,7 @@ def mc_fidelity_table(
     S = action_S(triad, kernel)
     return [
         [_estimate(np.concatenate(cell), spin, eps, S, cov.jitter) for cell, spin in zip(row, spins)]
-        for row, eps in zip(chunks, epsilons)
+        for row, eps in zip(blocks, epsilons)
     ]
 
 

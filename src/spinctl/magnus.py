@@ -120,10 +120,12 @@ def time_ordered_exp(n: PurePath, epsilon) -> UnitQuat:
     return UnitQuat.normalized(*(float(c) for c in qproduct(steps)))
 
 
-# Paths per step array in ``ordered_exp_batch``: every path's product is
-# independent of the others, so blocks bound the working set without
-# changing a bit.
-_BATCH_BLOCK = 1024
+# Paths per block of the Monte Carlo pipeline: ``ordered_exp_batch`` builds
+# its step array this many paths at a time, and ``fidelity.mc_fidelity_table``
+# draws, rotates and multiplies out one block before the next.  Every path's
+# ordered product is independent of the others, so blocks bound the working
+# set without changing a bit of it.
+_PATH_BLOCK = 256
 
 
 def ordered_exp_batch(values: np.ndarray, epsilon, dt: float, node_sums=None) -> np.ndarray:
@@ -135,14 +137,14 @@ def ordered_exp_batch(values: np.ndarray, epsilon, dt: float, node_sums=None) ->
     several epsilon on one batch adds the nodes once.  Returns unit
     quaternions of shape (batch, 4).  Same discretization as
     ``time_ordered_exp``.  The step exponents are built in place in a
-    component-major step array, _BATCH_BLOCK paths at a time.
+    component-major step array, _PATH_BLOCK paths at a time.
     """
     if node_sums is None:
         node_sums = values[:, :-1, :] + values[:, 1:, :]
     scale = 0.25 * float(epsilon) * dt
     out = np.empty((values.shape[0], 4))
-    for start in range(0, values.shape[0], _BATCH_BLOCK):
-        sums = node_sums[start : start + _BATCH_BLOCK]
+    for start in range(0, values.shape[0], _PATH_BLOCK):
+        sums = node_sums[start : start + _PATH_BLOCK]
         steps = np.empty(sums.shape[:-1] + (4,), order="F")
         v = np.multiply(sums, scale, out=steps[..., 1:])
         out[start : start + len(sums)] = qproduct(qexp_vec(v, out=steps))

@@ -303,12 +303,14 @@ def _factor_term(col: np.ndarray, r: int) -> tuple[np.ndarray, float]:
     if not np.any(col):
         return np.zeros((len(col), len(col))), 0.0
     block = toeplitz(col)
-    eye = np.eye(len(col))
     for jit in _JITTERS:
+        # The Toeplitz diagonal is col[0]; the jitter is written onto it in place.
+        np.fill_diagonal(block, col[0] + jit * col[0])
         try:
-            return np.linalg.cholesky(block + (jit * col[0]) * eye), jit * col[0]
+            return np.linalg.cholesky(block), jit * col[0]
         except np.linalg.LinAlgError:
             continue
+    np.fill_diagonal(block, col[0])
     min_eig = float(np.linalg.eigvalsh(block)[0])
     raise NotPSD(
         f"covariance of kernel term {r} not positive semidefinite within jitter "

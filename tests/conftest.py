@@ -4,17 +4,12 @@ import numpy as np
 import pytest
 
 from spinctl.evolution import TargetRotation, drift_control, propagate_triad
-from spinctl.magnus import PurePath, TimeGrid
+from spinctl.magnus import _PATH_BLOCK, PurePath, TimeGrid
 from spinctl.noise import OneOverF, assemble_covariance, sample_block
 
 # Transit-time units: all nondimensional rates are per tau.
 TAU = 1.0
 DRIFT = np.array([2.0 * math.pi, 0.0, 2.0 * math.pi])
-
-# Paths per draw of the Monte Carlo estimator.  The coloring matmul may round
-# a path differently in batches of another size, so the sampling oracle draws
-# in the same chunks.
-SAMPLE_CHUNK = 4096
 
 
 @pytest.fixture(scope="session")
@@ -49,14 +44,16 @@ def quat_tuple(q):
 def sample_paths(kernel, grid: TimeGrid, count: int, seed: int, cov=None) -> np.ndarray:
     """Lab-frame noise paths from Philox substreams 0 .. count-1 of ``seed``; (count, 3, n_nodes).
 
-    Sampling oracle: the term scalars xi of ``noise.sample_block``, drawn in
-    chunks of SAMPLE_CHUNK paths, mapped to lab components sum_r xi_r a_r
-    through ``kernel.axes``.  A pre-assembled ``cov`` skips refactorization.
+    Sampling oracle: the term scalars xi of ``noise.sample_block``, mapped to
+    lab components sum_r xi_r a_r through ``kernel.axes``.  The coloring
+    matmul may round a path differently in batches of another size, so the
+    oracle draws in the Monte Carlo estimator's blocks of ``_PATH_BLOCK``
+    paths.  A pre-assembled ``cov`` skips refactorization.
     """
     if cov is None:
         cov = assemble_covariance(kernel, grid)
     paths = np.empty((count, 3, grid.n_nodes))
-    for start in range(0, count, SAMPLE_CHUNK):
-        xi = sample_block(cov, seed, start, min(SAMPLE_CHUNK, count - start))
+    for start in range(0, count, _PATH_BLOCK):
+        xi = sample_block(cov, seed, start, min(_PATH_BLOCK, count - start))
         paths[start : start + len(xi)] = np.einsum("prk,ri->pik", xi, kernel.axes)
     return paths

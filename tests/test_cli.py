@@ -223,9 +223,9 @@ class TestMcValidate:
         ).read_bytes()
 
     def test_one_noise_ensemble_serves_every_cell(self, tmp_path, monkeypatch):
-        # 2 epsilon x 2 spin cells over two sample chunks: the covariance is
-        # factorized once, each chunk is drawn once, and the ordered product
-        # runs once per (chunk, epsilon).
+        # 2 epsilon x 2 spin cells over several path blocks: the covariance
+        # is factorized once, each block is drawn once, and the ordered
+        # product runs once per (block, epsilon).
         calls = {"assemble_covariance": 0, "sample_block": 0, "ordered_exp_batch": 0}
         for name in calls:
             orig = getattr(fidelity, name)
@@ -242,7 +242,8 @@ class TestMcValidate:
             "grid_steps": 16, "mc_samples": 4097, "seed": 11,
         }
         run(validate_config(json.dumps(cfg)))
-        assert calls == {"assemble_covariance": 1, "sample_block": 2, "ordered_exp_batch": 4}
+        blocks = math.ceil(4097 / fidelity._PATH_BLOCK)
+        assert calls == {"assemble_covariance": 1, "sample_block": blocks, "ordered_exp_batch": 2 * blocks}
         lines = (tmp_path / "out" / "mc.csv").read_text().splitlines()
         assert [tuple(line.split(",")[:2]) for line in lines[1:]] == [
             ("0.1", "0.5"), ("0.1", "1"), ("0.3", "0.5"), ("0.3", "1"),

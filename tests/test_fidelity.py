@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spinctl import fidelity, magnus
 from spinctl.errors import DegenerateSample, DomainError
 from spinctl.evolution import propagate_triad
 from spinctl.fidelity import (
@@ -226,7 +228,7 @@ def oracle_cell(triad, kernel, epsilon, spin, count, seed):
 class TestMonteCarloTable:
     EPSILONS = (0.0, 0.1, 0.3)
     SPINS = (SpinNumber(1), SpinNumber(2), SpinNumber(5))
-    # Two chunks of the estimator, the second a ragged tail of one path.
+    # Several blocks of the estimator, the last a ragged tail of one path.
     COUNT = 4097
 
     @pytest.mark.parametrize(
@@ -247,6 +249,29 @@ class TestMonteCarloTable:
                 assert est.std_error == std_err
                 assert est.samples == self.COUNT
                 assert est.analytic_prediction == fidelity_weak(spin, eps, S)
+
+    def test_cells_do_not_depend_on_block_size(self, paper_kernel, monkeypatch):
+        # Blocks of 7 paths leave a ragged tail of 2 and cut every default
+        # block; the estimates must keep every bit.
+        triad = drift_triad(TimeGrid(1.0, 24))
+        args = (triad, paper_kernel, self.EPSILONS, self.SPINS, self.COUNT, 31)
+        default = mc_fidelity_table(*args)
+        monkeypatch.setattr(fidelity, "_PATH_BLOCK", 7)
+        monkeypatch.setattr(magnus, "_PATH_BLOCK", 7)
+        assert mc_fidelity_table(*args) == default
+
+    def test_working_set_does_not_grow_with_count(self, paper_kernel):
+        # One block of paths is in flight at a time, so the traced peak is
+        # the covariance factor plus one block's arrays (about 17 MiB on a
+        # 512-step triad), whatever the path count.
+        triad = drift_triad(TimeGrid(1.0, 512))
+        tracemalloc.start()
+        try:
+            mc_fidelity_table(triad, paper_kernel, (0.1, 0.3), self.SPINS[:2], 4096, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_single_cell_is_mc_fidelity(self, paper_kernel):
         triad = drift_triad(TimeGrid(1.0, 24))

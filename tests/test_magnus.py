@@ -115,7 +115,7 @@ class TestTimeOrderedExp:
         # reference forms every step of every path in one array.
         grid = TimeGrid(1.0, 40)
         rng = np.random.default_rng(25)
-        n_paths = 2 * magnus._BATCH_BLOCK + 7
+        n_paths = 2 * magnus._PATH_BLOCK + 7
         field = np.ascontiguousarray(rng.normal(size=(3, grid.n_nodes, n_paths)))
         values = field.transpose(2, 1, 0)
         expect = qproduct(qexp_vec(0.25 * 0.8 * grid.dt * (values[:, :-1] + values[:, 1:])))

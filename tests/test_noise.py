@@ -19,6 +19,8 @@ from spinctl.noise import (
     assemble_covariance,
     exp_integral_e1,
     sample_block,
+    _JITTERS,
+    _factor_term,
     _path_normals,
 )
 from spinctl.optimizer import OptimizationProblem, _Workspace
@@ -28,6 +30,18 @@ from conftest import sample_paths
 mp.dps = 30
 
 EULER_GAMMA = 0.5772156649015328606
+
+
+def dense_jitter_factor(col: np.ndarray) -> tuple[np.ndarray, float]:
+    """Reference for ``noise._factor_term``: each jitter rung adds jit * col[0] times a dense identity."""
+    block = toeplitz(col)
+    eye = np.eye(len(col))
+    for jit in _JITTERS:
+        try:
+            return np.linalg.cholesky(block + (jit * col[0]) * eye), jit * col[0]
+        except np.linalg.LinAlgError:
+            continue
+    raise NotPSD("jitter ladder exhausted", min_eigenvalue=float(np.linalg.eigvalsh(block)[0]))
 
 
 class TestExpIntegral:
@@ -150,9 +164,30 @@ class TestAssembleCovariance:
                 return (1.0 - s**2)[None, :]
 
         bad = Parabola()
+        grid = TimeGrid(4.0, 32)
         with pytest.raises(NotPSD) as err:
-            assemble_covariance(bad, TimeGrid(4.0, 32))
+            assemble_covariance(bad, grid)
         assert err.value.min_eigenvalue < 0.0
+        # the diagnostic sees the Toeplitz block without the last rung's jitter
+        with pytest.raises(NotPSD) as want:
+            dense_jitter_factor(bad.lag_profiles(grid.dt * np.arange(grid.n_nodes))[0])
+        assert err.value.min_eigenvalue == want.value.min_eigenvalue
+
+    @pytest.mark.parametrize(
+        "kernel, n_steps, jitter",
+        [(OneOverF(8.0, 0.1, 20.0), 512, 0.0), (DiagonalConstant((0.5, 0.2, 0.1)), 256, 5e-13)],
+        ids=["one_over_f", "diagonal_constant"],
+    )
+    def test_in_place_jitter_matches_dense_identity(self, kernel, n_steps, jitter):
+        grid = TimeGrid(1.0, n_steps)
+        jitters = []
+        for r, col in enumerate(kernel.lag_profiles(grid.dt * np.arange(grid.n_nodes))):
+            factor, jit = _factor_term(col, r)
+            want, want_jit = dense_jitter_factor(col)
+            assert jit == want_jit
+            assert factor.tobytes() == want.tobytes()
+            jitters.append(jit)
+        assert max(jitters) == jitter
 
 
 class TestSamplePaths:
