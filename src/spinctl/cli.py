@@ -37,13 +37,12 @@ import numpy as np
 from . import __version__
 from .errors import BCUnreachable, ConfigError, NoDescent, SpinctlError
 from .evolution import TargetRotation
-from .fidelity import SpinNumber, action_S, fidelity_weak, mc_fidelity_table
+from .fidelity import SpinNumber, fidelity_weak, mc_fidelity_table
 from .magnus import PurePath, TimeGrid, random_smooth_path, solve_m_ode_batch, time_ordered_exp
 from .noise import DiagonalConstant, NoiseKernel, OneOverF
 from .optimizer import (
     OptimizationProblem,
     check_ladder,
-    evaluate_deviation,
     refine_deviation,
     solve,
     sweep_lambda,
@@ -313,8 +312,8 @@ def _run_mc_validate(config: RunConfig, out: Path):
         kernel=config.kernel, target=config.target, tau=config.tau,
         lambda_inv=lam, grid=grid,
     )
-    sol = evaluate_deviation(problem, np.zeros((grid.n_nodes, 3))) if lam == 0.0 else solve(problem)
-    s_val = action_S(sol.triad, config.kernel)
+    sol = solve(problem)
+    s_val = sol.S
     start = time.perf_counter()
     table = mc_fidelity_table(
         sol.triad, config.kernel, config.epsilon, [SpinNumber(ts) for ts in config.two_s],

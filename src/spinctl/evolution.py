@@ -110,7 +110,7 @@ class ControlPath:
             raise ValueError("|Omega(t)| and |omega(t)| disagree: frames inconsistent")
 
 
-def propagate_triad(omega_rot: PurePath, grid: TimeGrid | None = None) -> TriadPath:
+def propagate_triad(omega_rot: PurePath) -> TriadPath:
     """Integrate the rigid rotation generated by the component triple omega^i(t).
 
     Starts from the static triad E_i(0) = e_i and composes one incremental
@@ -120,10 +120,7 @@ def propagate_triad(omega_rot: PurePath, grid: TimeGrid | None = None) -> TriadP
     taken by ``qprefix`` and renormalized, so orthonormality holds to
     rounding over arbitrarily many steps.
     """
-    if grid is None:
-        grid = omega_rot.grid
-    elif grid != omega_rot.grid:
-        raise ValueError("grid disagrees with the control path's grid")
+    grid = omega_rot.grid
     v = omega_rot.values
     # Row i of the triad matrix is E_i = u e_i conj(u), i.e. R(u)^T = R(conj u) = R(p).
     return TriadPath(grid, quat_to_matrix(qprefix(qexp_vec(0.25 * grid.dt * (v[:-1] + v[1:])))))

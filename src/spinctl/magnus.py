@@ -402,13 +402,6 @@ def n_of_m(m: PurePath, epsilon) -> PurePath:
 # ---------------------------------------------------------------------------
 
 
-def _cumtrapz(y: np.ndarray, dt: float) -> np.ndarray:
-    """Cumulative trapezoid along axis 0, starting at zero."""
-    out = np.zeros_like(y)
-    np.cumsum(0.5 * dt * (y[1:] + y[:-1]), axis=0, out=out[1:])
-    return out
-
-
 def _trapezoid_weights(n_nodes: int, dt: float) -> np.ndarray:
     """Trapezoid quadrature weights on a uniform grid of ``n_nodes`` nodes."""
     w = np.full(n_nodes, dt)
@@ -425,20 +418,22 @@ def magnus_term(n: PurePath, order: int) -> PurePath:
     """
     if order not in (0, 1, 2):
         raise UnsupportedOrder(f"perturbative order {order} not implemented (0..2 supported)")
+    # Imported here: scipy.integrate adds 3 MB RSS, and no CLI kind needs it.
+    from scipy.integrate import cumulative_trapezoid
     v = n.values
     dt = n.grid.dt
-    m0 = _cumtrapz(v, dt)
+    m0 = cumulative_trapezoid(v, dx=dt, axis=0, initial=0)
     if order == 0:
         return PurePath(n.grid, m0)
-    m1 = 0.5 * _cumtrapz(cross3(v, m0), dt)
+    m1 = 0.5 * cumulative_trapezoid(cross3(v, m0), dx=dt, axis=0, initial=0)
     if order == 1:
         return PurePath(n.grid, m1)
     # Second piece needs the running outer-product integral of n (x) m0.
-    outer = _cumtrapz(v[:, :, None] * m0[:, None, :], dt)  # (n, 3, 3)
-    scal = _cumtrapz(np.sum(v * m0, axis=1), dt)  # (n,)
-    piece1 = _cumtrapz(cross3(v, 2.0 * m1), dt)
+    outer = cumulative_trapezoid(v[:, :, None] * m0[:, None, :], dx=dt, axis=0, initial=0)  # (n, 3, 3)
+    scal = cumulative_trapezoid(np.sum(v * m0, axis=1), dx=dt, axis=0, initial=0)  # (n,)
+    piece1 = cumulative_trapezoid(cross3(v, 2.0 * m1), dx=dt, axis=0, initial=0)
     inner2 = np.einsum("kab,kb->ka", outer, v) - scal[:, None] * v
-    piece2 = _cumtrapz(inner2, dt)
+    piece2 = cumulative_trapezoid(inner2, dx=dt, axis=0, initial=0)
     return PurePath(n.grid, (piece1 + piece2) / 6.0)
 
 
@@ -465,17 +460,18 @@ def magnus_iterate(n: PurePath, epsilon, iterations: int) -> MagnusIterateResult
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
+    from scipy.integrate import cumulative_trapezoid  # see magnus_term
     eps = float(epsilon)
     v = n.values
     dt = n.grid.dt
 
-    cur = _cumtrapz(v, dt)
+    cur = cumulative_trapezoid(v, dx=dt, axis=0, initial=0)
     change = math.inf
     changes: list[float] = []
     grew = 0
     for _ in range(iterations):
         rhs = _m_rhs(*v.T, *cur.T, 0.5 * eps, eps * eps, _h_of_y2_lanes)
-        nxt = _cumtrapz(np.stack(rhs, axis=1), dt)
+        nxt = cumulative_trapezoid(np.stack(rhs, axis=1), dx=dt, axis=0, initial=0)
         change = float(np.max(np.sqrt(np.sum((nxt - cur) ** 2, axis=1))))
         if changes and change > changes[-1]:
             grew += 1

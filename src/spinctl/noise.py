@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import toeplitz
+from scipy.special import exp1
 
 from .errors import DomainError, NotPSD
 from .magnus import TimeGrid, _trapezoid_weights
@@ -37,67 +38,24 @@ __all__ = [
     "sample_block",
 ]
 
-_EULER_GAMMA = 0.5772156649015328606
-
 # Jitter escalation ladder, as fractions of a term's diagonal entry.
 _JITTERS = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
 
 
-def _e1_series(x: np.ndarray) -> np.ndarray:
-    """Convergent series for E1, accurate for 0 < x <= 1."""
-    total = np.zeros_like(x)
-    term = np.ones_like(x)
-    for k in range(1, 30):
-        term = term * (-x) / k
-        total = total - term / k
-    return -_EULER_GAMMA - np.log(x) + total
-
-
-def _e1_contfrac(x: np.ndarray) -> np.ndarray:
-    """Continued fraction for E1 (modified Lentz downward), accurate for x >= 1."""
-    tiny = 1e-300
-    b = x + 1.0
-    c = np.full_like(x, 1.0 / tiny)
-    d = 1.0 / b
-    h = d.copy()
-    for k in range(1, 100):
-        a = -float(k * k)
-        b = b + 2.0
-        d = a * d + b
-        d = np.where(np.abs(d) < tiny, tiny, d)
-        c = b + a / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
-        d = 1.0 / d
-        delta = c * d
-        h = h * delta
-        if np.all(np.abs(delta - 1.0) < 1e-16):
-            break
-    return np.exp(-x) * h
-
-
 def exp_integral_e1(x):
-    """Exponential integral E1(x) = int_x^inf exp(-t)/t dt for x > 0.
+    """Exponential integral E1(x) = int_x^inf exp(-t)/t dt for x > 0 (``scipy.special.exp1``).
 
-    Series below x = 1, continued fraction above; relative error below
-    1e-12 across the domain.  Accepts a float or an ndarray.
+    Accepts a float or an ndarray.
 
     Raises
     ------
     DomainError
-        For any argument <= 0.
+        For any argument <= 0 or non-finite.
     """
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise DomainError("exp_integral_e1 requires x > 0")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    lo = arr <= 1.0
-    if np.any(lo):
-        out[lo] = _e1_series(arr[lo])
-    if np.any(~lo):
-        out[~lo] = _e1_contfrac(arr[~lo])
-    return float(out[0]) if scalar else out.reshape(np.shape(x))
+    return float(exp1(arr)) if arr.ndim == 0 else exp1(arr)
 
 
 class NoiseKernel:
@@ -160,41 +118,35 @@ class OneOverF(NoiseKernel):
     def __post_init__(self):
         if not (self.xi > 0.0 and math.isfinite(self.xi)):
             raise ValueError("xi must be positive")
-        if not (0.0 < self.gamma_lo < self.gamma_hi):
-            raise ValueError("cutoffs must satisfy 0 < gamma_lo < gamma_hi")
+        if not (0.0 < self.gamma_lo < self.gamma_hi and math.isfinite(self.gamma_hi)):
+            raise ValueError("cutoffs must be finite and satisfy 0 < gamma_lo < gamma_hi")
         object.__setattr__(self, "axis", _unit_axis(self.axis))
 
     def scalar(self, s: float) -> float:
         """Along-axis entry of the profile at lag s >= 0."""
         if s < 0.0:
             raise ValueError("lag must be >= 0")
-        if s == 0.0:
-            return self.xi * math.log(self.gamma_hi / self.gamma_lo)
-        return self.xi * (exp_integral_e1(self.gamma_lo * s) - exp_integral_e1(self.gamma_hi * s))
-
-    def scalar_batch(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        out = np.full(s.shape, self.xi * math.log(self.gamma_hi / self.gamma_lo))
-        pos = s > 0.0
-        if np.any(pos):
-            out[pos] = self.xi * (
-                exp_integral_e1(self.gamma_lo * s[pos]) - exp_integral_e1(self.gamma_hi * s[pos])
-            )
-        return out
-
-    def scalar_slope_at_zero(self) -> float:
-        """One-sided lag derivative of the along-axis entry at s = 0+."""
-        return self.xi * (self.gamma_lo - self.gamma_hi)
+        return float(self.lag_profiles(np.array([float(s)]))[0, 0])
 
     @property
     def axes(self) -> np.ndarray:
         return np.array([self.axis])
 
     def lag_profiles(self, s: np.ndarray) -> np.ndarray:
-        return self.scalar_batch(s)[None, :]
+        """xi ln(gamma_hi/gamma_lo) at zero lag, xi (E1(gamma_lo s) - E1(gamma_hi s)) at s > 0.
+
+        A negative or non-finite lag raises ``DomainError``.
+        """
+        s = np.asarray(s, dtype=float)
+        out = np.full(s.shape, self.xi * math.log(self.gamma_hi / self.gamma_lo))
+        pos = s != 0.0
+        out[pos] = self.xi * (
+            exp_integral_e1(self.gamma_lo * s[pos]) - exp_integral_e1(self.gamma_hi * s[pos])
+        )
+        return out[None, :]
 
     def lag_slopes_at_zero(self) -> np.ndarray:
-        return np.array([self.scalar_slope_at_zero()])
+        return np.array([self.xi * (self.gamma_lo - self.gamma_hi)])
 
 
 @dataclass(frozen=True)

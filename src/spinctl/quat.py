@@ -150,8 +150,6 @@ E1 = PureQuat(1.0, 0.0, 0.0)
 E2 = PureQuat(0.0, 1.0, 0.0)
 E3 = PureQuat(0.0, 0.0, 1.0)
 
-IDENTITY = UnitQuat(1.0, 0.0, 0.0, 0.0)
-
 
 def _wxyz(q) -> tuple[float, float, float, float]:
     """Coerce Quat/PureQuat/UnitQuat/real into component form."""

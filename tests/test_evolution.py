@@ -3,6 +3,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from spinctl.errors import AxisRequired
 from spinctl.evolution import (
@@ -15,7 +16,7 @@ from spinctl.evolution import (
     omega_from_triad,
     propagate_triad,
 )
-from spinctl.magnus import PurePath, TimeGrid, _central_diff, _cumtrapz, time_ordered_exp
+from spinctl.magnus import PurePath, TimeGrid, _central_diff, time_ordered_exp
 from spinctl.quat import E1, E2, E3, PureQuat, cross3, qconj, qexp_vec, quat_to_matrix, rotate
 
 from conftest import fourier_path, quat_tuple
@@ -55,7 +56,8 @@ def power(obj: TriadPath | ControlPath) -> PowerPath:
         vals = np.sum(obj.omega_rot.values**2, axis=1)
     else:
         vals = power_wedge(obj.values, _central_diff(obj.values, obj.grid.dt))
-    return PowerPath(obj.grid, vals, float(_cumtrapz(0.5 * vals, obj.grid.dt)[-1]))
+    energy = cumulative_trapezoid(0.5 * vals, dx=obj.grid.dt, axis=0, initial=0)[-1]
+    return PowerPath(obj.grid, vals, float(energy))
 
 
 def power_antisym(values: np.ndarray, rates: np.ndarray) -> np.ndarray:
@@ -102,11 +104,6 @@ class TestPropagateTriad:
         triad = propagate_triad(om)
         assert triad.orthonormality_defect() < 1e-9
         assert triad.handedness_defect() < 1e-9
-
-    def test_grid_mismatch_rejected(self):
-        grid = TimeGrid(1.0, 16)
-        with pytest.raises(ValueError):
-            propagate_triad(constant_control(grid, (1, 0, 0)), TimeGrid(1.0, 32))
 
 
 class TestOmegaFromTriad:
