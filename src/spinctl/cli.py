@@ -230,7 +230,9 @@ def validate_config(raw_text: str) -> RunConfig:
     ``_FIELDS`` gives each key's rule and, per kind, its default or
     "required"; a key the kind does not read, or that no kind knows, is an
     error.  The kernel and target constructors check their cross-field
-    rules; a sweep's ``lambda_inv`` must start at 0 and increase strictly.
+    rules; ``refine_steps`` must be 0 (no refinement) or a grid of >= 2
+    steps, and a sweep's ``lambda_inv`` must start at 0 and increase
+    strictly.
 
     Raises
     ------
@@ -249,6 +251,8 @@ def validate_config(raw_text: str) -> RunConfig:
 
     body = {key: value for key, value in cfg.items() if key != "kind"}
     values, diags = _check_object(body, _TABLES[kind], kind=kind)
+    if values.get("refine_steps") == 1:
+        diags.append("field 'refine_steps' must be 0 or >= 2")
     lam = values.get("lambda_inv", ())
     if isinstance(lam, float):
         values["lambda_inv"] = (lam,)
@@ -305,14 +309,17 @@ def _run_magnus_check(config: RunConfig, out: Path):
     return report_rows, {"worst_mismatch": max(r[3] for r in rows)}
 
 
+def _problem(config: RunConfig, lam: float) -> OptimizationProblem:
+    """The config's optimization problem at ``lam`` on its ``grid_steps`` grid."""
+    return OptimizationProblem(
+        kernel=config.kernel, target=config.target, tau=config.tau,
+        lambda_inv=lam, grid=TimeGrid(config.tau, config.grid_steps),
+    )
+
+
 def _run_mc_validate(config: RunConfig, out: Path):
     lam = config.lambda_inv[-1]
-    grid = TimeGrid(config.tau, config.grid_steps)
-    problem = OptimizationProblem(
-        kernel=config.kernel, target=config.target, tau=config.tau,
-        lambda_inv=lam, grid=grid,
-    )
-    sol = solve(problem)
+    sol = solve(_problem(config, lam))
     s_val = sol.S
     start = time.perf_counter()
     table = mc_fidelity_table(
@@ -379,11 +386,8 @@ def _round_rows(rounds) -> list[dict]:
 
 def _run_solve(config: RunConfig, out: Path):
     lam = config.lambda_inv[0]
-    grid = TimeGrid(config.tau, config.grid_steps)
-    problem = OptimizationProblem(
-        kernel=config.kernel, target=config.target, tau=config.tau,
-        lambda_inv=lam, grid=grid,
-    )
+    problem = _problem(config, lam)
+    grid = problem.grid
     try:
         sol = solve(problem)
     except (BCUnreachable, NoDescent) as exc:
@@ -426,19 +430,13 @@ def _echo_problem(config: RunConfig, lam):
 
 
 def _run_sweep(config: RunConfig, out: Path):
-    grid = TimeGrid(config.tau, config.grid_steps)
-    problem = OptimizationProblem(
-        kernel=config.kernel, target=config.target, tau=config.tau,
-        lambda_inv=config.lambda_inv[-1], grid=grid,
-        continuation=config.lambda_inv,
-    )
-    result = sweep_lambda(problem)
+    problem = _problem(config, config.lambda_inv[-1])
     header = ["lambda_inv", "grid_steps", "S", "E_out", "S_refined", "S_refine_delta"]
     header += [name for name, _, _ in _fidelity_columns(config)]
     rows = []
     report_rows = []
     deltas = {}
-    for point in result.points:
+    for point in sweep_lambda(problem, config.lambda_inv):
         if point.solution is None:
             report_rows.append(
                 {"lambda_inv": point.lambda_inv, "error": point.error, "rounds": _round_rows(point.rounds)}

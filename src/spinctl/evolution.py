@@ -3,8 +3,8 @@
 The degrees of freedom are three orthonormal vectors E_1, E_2, E_3 (the
 rotating triad) that evolve by rigid rotation, dE_i/dt = E_i ^ Omega.  The
 triad is stored redundantly (three vectors per node) so that rigidity is a
-directly testable invariant; an equivalent unit-quaternion track is kept
-alongside for drift-free integration.
+directly testable invariant; it is propagated as unit quaternions (one
+ordered product of the step exponentials) and converted to vectors once.
 
 Component conventions: a control history is described by the triple
 omega^i(t), which simultaneously gives the lab-frame field omega(t) in the

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateSample, DomainError
 from .evolution import TriadPath
-from .magnus import _PATH_BLOCK, ordered_exp_batch
+from .magnus import ordered_exp_batch
 from .noise import LagConvolution, NoiseKernel, assemble_covariance, sample_block
 
 __all__ = [
@@ -32,6 +32,12 @@ __all__ = [
     "mc_fidelity",
     "mc_fidelity_table",
 ]
+
+# Paths per block of the Monte Carlo pipeline: ``mc_fidelity_table`` draws,
+# rotates and multiplies out (``magnus.ordered_exp_batch``) one block before
+# the next.  Every path's ordered product is independent of the others, so
+# blocks bound the working set without changing a bit of it.
+_PATH_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -192,7 +198,7 @@ def mc_fidelity_table(
     scalar part lifted to every requested spin.  The noise enters the
     spin-s amplitude only through the spin-1/2 ordered exponential, and
     epsilon only through that product, so each kernel term is factorized
-    once.  Paths then run in blocks of ``magnus._PATH_BLOCK``: each block is
+    once.  Paths then run in blocks of ``_PATH_BLOCK``: each block is
     drawn and rotated and its node sums are formed once, its ordered product
     runs once per epsilon, and it is lifted to every spin before the next
     block is drawn, so the working set does not grow with ``count``.  Path p

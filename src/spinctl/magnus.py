@@ -59,6 +59,7 @@ class TimeGrid:
             raise ValueError(f"tau must be positive and finite, got {self.tau!r}")
         if int(self.n_steps) != self.n_steps or self.n_steps < 2:
             raise ValueError(f"n_steps must be an integer >= 2, got {self.n_steps!r}")
+        object.__setattr__(self, "n_steps", int(self.n_steps))
 
     @property
     def dt(self) -> float:
@@ -120,14 +121,6 @@ def time_ordered_exp(n: PurePath, epsilon) -> UnitQuat:
     return UnitQuat.normalized(*(float(c) for c in qproduct(steps)))
 
 
-# Paths per block of the Monte Carlo pipeline: ``ordered_exp_batch`` builds
-# its step array this many paths at a time, and ``fidelity.mc_fidelity_table``
-# draws, rotates and multiplies out one block before the next.  Every path's
-# ordered product is independent of the others, so blocks bound the working
-# set without changing a bit of it.
-_PATH_BLOCK = 256
-
-
 def ordered_exp_batch(values: np.ndarray, epsilon, dt: float, node_sums=None) -> np.ndarray:
     """Ordered midpoint product for a batch of sampled fields.
 
@@ -136,19 +129,15 @@ def ordered_exp_batch(values: np.ndarray, epsilon, dt: float, node_sums=None) ->
     ``values[:, :-1] + values[:, 1:]`` already formed, so a caller running
     several epsilon on one batch adds the nodes once.  Returns unit
     quaternions of shape (batch, 4).  Same discretization as
-    ``time_ordered_exp``.  The step exponents are built in place in a
-    component-major step array, _PATH_BLOCK paths at a time.
+    ``time_ordered_exp``.  The step exponents are built in place in one
+    component-major step array of the whole batch, so the Monte Carlo
+    pipeline passes one block of paths at a time.
     """
     if node_sums is None:
         node_sums = values[:, :-1, :] + values[:, 1:, :]
-    scale = 0.25 * float(epsilon) * dt
-    out = np.empty((values.shape[0], 4))
-    for start in range(0, values.shape[0], _PATH_BLOCK):
-        sums = node_sums[start : start + _PATH_BLOCK]
-        steps = np.empty(sums.shape[:-1] + (4,), order="F")
-        v = np.multiply(sums, scale, out=steps[..., 1:])
-        out[start : start + len(sums)] = qproduct(qexp_vec(v, out=steps))
-    return out
+    steps = np.empty(node_sums.shape[:-1] + (4,), order="F")
+    v = np.multiply(node_sums, 0.25 * float(epsilon) * dt, out=steps[..., 1:])
+    return qproduct(qexp_vec(v, out=steps))
 
 
 # ---------------------------------------------------------------------------

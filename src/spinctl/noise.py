@@ -239,7 +239,6 @@ class CovarianceOperator:
     largest diagonal jitter added to any term.
     """
 
-    kernel: NoiseKernel
     grid: TimeGrid
     matrix: np.ndarray
     factor: np.ndarray
@@ -286,7 +285,7 @@ def assemble_covariance(kernel: NoiseKernel, grid: TimeGrid) -> CovarianceOperat
     """
     cols = np.array(kernel.lag_profiles(grid.dt * np.arange(grid.n_nodes)), dtype=float)
     factors, jitters = zip(*(_factor_term(col, r) for r, col in enumerate(cols)))
-    return CovarianceOperator(kernel, grid, cols, np.vstack(factors), max(jitters))
+    return CovarianceOperator(grid, cols, np.vstack(factors), max(jitters))
 
 
 def _path_normals(seed: int, start: int, count: int, dim: int) -> np.ndarray:

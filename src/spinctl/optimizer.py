@@ -44,7 +44,6 @@ __all__ = [
     "ControlSolution",
     "SolveRound",
     "SweepPoint",
-    "SweepResult",
     "el_residual",
     "evaluate_deviation",
     "refine_deviation",
@@ -86,8 +85,7 @@ class OptimizationProblem:
 
     ``lambda_inv`` dials the energy constraint: 0 makes output infinitely
     costly (the drift geodesic is then optimal); larger values buy more
-    control amplitude.  ``continuation`` is the warm-start ladder used by
-    ``sweep_lambda``; it must start at 0 and increase strictly.
+    control amplitude.
     """
 
     kernel: NoiseKernel
@@ -95,7 +93,6 @@ class OptimizationProblem:
     tau: float
     lambda_inv: float
     grid: TimeGrid
-    continuation: tuple[float, ...] = (0.0,)
     tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
@@ -105,9 +102,6 @@ class OptimizationProblem:
             raise ValueError("grid.tau must equal the problem transit time")
         if self.lambda_inv < 0.0 or not math.isfinite(self.lambda_inv):
             raise ValueError("lambda_inv must be finite and >= 0")
-        cont = tuple(float(v) for v in self.continuation)
-        check_ladder(cont, "continuation")
-        object.__setattr__(self, "continuation", cont)
 
 
 @dataclass(frozen=True)
@@ -167,11 +161,6 @@ class SweepPoint:
     rounds: tuple[SolveRound, ...] = ()
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    points: tuple[SweepPoint, ...]
-
-
 def _resample_cells(cells: np.ndarray, grid: TimeGrid, t_dst: np.ndarray) -> np.ndarray:
     """Cubic-spline resampling of cell values from a grid's cell centers to times ``t_dst``."""
     return CubicSpline(grid.centers, cells, axis=0)(t_dst)
@@ -203,16 +192,6 @@ def _rotations(cells: np.ndarray, dt: float) -> np.ndarray:
 CERTIFICATE_REFINE = 4
 
 
-def _certificate(problem: OptimizationProblem) -> "_Workspace":
-    """The solver workspace on the grid CERTIFICATE_REFINE times finer, where the certificate is evaluated."""
-    return _Workspace(replace(problem, grid=TimeGrid(problem.tau, CERTIFICATE_REFINE * problem.grid.n_steps)))
-
-
-def _certify(cert: "_Workspace", grid: TimeGrid, cells: np.ndarray, lam_inv: float) -> float:
-    """Certificate of cell values on ``grid``, resampled onto the certificate workspace's cells."""
-    return cert.residual(_resample_cells(cells, grid, cert.problem.grid.centers), lam_inv)
-
-
 def el_residual(solution: ControlSolution, problem: OptimizationProblem) -> float:
     """Independent stationarity certificate from the force-balance equation.
 
@@ -226,7 +205,7 @@ def el_residual(solution: ControlSolution, problem: OptimizationProblem) -> floa
     The minimizer never uses this equation; it is a post-hoc certificate.
     """
     cells = _coerce_cells(solution.deviation_cells, problem.grid)
-    return _certify(_certificate(problem), problem.grid, cells, solution.lambda_inv)
+    return _Workspace(problem).el_residual(cells, solution.lambda_inv)
 
 
 def _vee(b: np.ndarray) -> np.ndarray:
@@ -246,28 +225,35 @@ class _Workspace:
     no null modes, so the discrete stationarity conditions approximate the
     continuum force balance uniformly up to the grid order; nodal histories
     are recovered by second-order interpolation for reporting.  The
-    certificate is the same workspace on a finer grid (``certificate``);
-    nodal quantities are built on first use, so it builds only cell ones.
+    certificate is the same workspace on a finer grid (``certificate``).
+    Every array is built on first use, so each workspace builds only what
+    its callers read: a lambda_inv = 0 solve builds no cell convolution.
     """
 
     def __init__(self, problem: OptimizationProblem):
         self.problem = problem
-        grid = problem.grid
-        self.n = grid.n_nodes
-        self.dt = grid.dt
+        self.n = problem.grid.n_nodes
+        self.dt = problem.grid.dt
         self.drift = drift_for_target(problem.target, problem.tau).as_array()
-        # Drift de-rotation matrices A_k = R(conj(u0(t))), u0 = exp(t/2 Omega_D),
-        # at the cell centers (for the objective and certificate).
-        self.amats_c = self._drift_frames(grid.centers)
-        self.cells_conv = LagConvolution.cells(problem.kernel, self.n - 1, self.dt)
 
     def _drift_frames(self, t: np.ndarray) -> np.ndarray:
+        """Drift de-rotation matrices A(t) = R(conj(u0(t))), u0 = exp(t/2 Omega_D)."""
         return quat_to_matrix(qexp_vec(-0.5 * t[:, None] * self.drift[None, :]))
+
+    @cached_property
+    def amats_c(self) -> np.ndarray:
+        """Drift de-rotation matrices at the cell centers (for the objective and certificate)."""
+        return self._drift_frames(self.problem.grid.centers)
 
     @cached_property
     def amats(self) -> np.ndarray:
         """Drift de-rotation matrices at the nodes (for reporting)."""
         return self._drift_frames(self.problem.grid.nodes)
+
+    @cached_property
+    def cells_conv(self) -> LagConvolution:
+        """Midpoint convolution of the objective's action."""
+        return LagConvolution.cells(self.problem.kernel, self.n - 1, self.dt)
 
     @cached_property
     def nodes_conv(self) -> LagConvolution:
@@ -276,8 +262,9 @@ class _Workspace:
 
     @cached_property
     def certificate(self) -> "_Workspace":
-        """The certificate workspace (``_certificate``), built on first use."""
-        return _certificate(self.problem)
+        """This workspace on the grid CERTIFICATE_REFINE times finer, where the certificate is evaluated."""
+        problem = self.problem
+        return _Workspace(replace(problem, grid=TimeGrid(problem.tau, CERTIFICATE_REFINE * problem.grid.n_steps)))
 
     def nodes_from_cells(self, cells: np.ndarray) -> np.ndarray:
         """Second-order reconstruction of nodal values from cell values."""
@@ -286,10 +273,6 @@ class _Workspace:
         out[0] = 1.5 * cells[0] - 0.5 * cells[1]
         out[-1] = 1.5 * cells[-1] - 0.5 * cells[-2]
         return out
-
-    def el_residual_cells(self, cells: np.ndarray, lam_inv: float) -> float:
-        """Force-balance certificate on the refined evaluation grid."""
-        return _certify(self.certificate, self.problem.grid, cells, lam_inv)
 
     @staticmethod
     def _action_core(conv: LagConvolution, lmats: np.ndarray) -> tuple[float, np.ndarray]:
@@ -376,16 +359,22 @@ class _Workspace:
         grad = self.dt * omega - self.dt * dphi
         return j_val, grad.ravel()
 
-    def residual(self, cells: np.ndarray, lam_inv: float) -> float:
-        """Force-balance residual of cell values on this workspace's grid (see ``el_residual``)."""
-        omega_star = np.einsum("kab,kb->ka", self.amats_c, self.drift[None, :] + cells)
-        dom = _central_diff(omega_star, self.dt)
-        drift_norm = float(np.linalg.norm(self.drift))
+    def el_residual(self, cells: np.ndarray, lam_inv: float) -> float:
+        """Force-balance certificate of cell values on this grid (see the module's ``el_residual``).
+
+        The cells are resampled onto the certificate workspace's cells, and
+        the residual is evaluated there with that workspace's arrays.
+        """
+        cert = self.certificate
+        cells = _resample_cells(cells, self.problem.grid, cert.problem.grid.centers)
+        omega_star = np.einsum("kab,kb->ka", cert.amats_c, cert.drift[None, :] + cells)
+        dom = _central_diff(omega_star, cert.dt)
+        drift_norm = float(np.linalg.norm(cert.drift))
         if lam_inv == 0.0:
             return float(np.max(np.linalg.norm(dom, axis=1))) * self.problem.tau / max(drift_norm, 1e-300)
 
-        _, _, lstars = self._chain(cells)
-        conv = self.cells_conv
+        _, _, lstars = cert._chain(cells)
+        conv = cert.cells_conv
         lam = 1.0 / lam_inv
         p = conv.project(lstars)
         d = conv(p)
@@ -427,7 +416,7 @@ class _Workspace:
             S=s_val,
             S_c=s_c,
             E_out=e_out,
-            el_residual=self.el_residual_cells(cells, lam_inv),
+            el_residual=self.el_residual(cells, lam_inv),
             bc_error=bc_error,
             lambda_inv=lam_inv,
             mu_final=mu_final,
@@ -456,18 +445,6 @@ def refine_deviation(problem: OptimizationProblem, x: np.ndarray, n_steps: int) 
     fine_grid = TimeGrid(problem.tau, n_steps)
     cells = _resample_cells(_coerce_cells(x, problem.grid), problem.grid, fine_grid.centers)
     return evaluate_deviation(replace(problem, grid=fine_grid), cells)
-
-
-def _minimize_round(ws, x, lam_inv, mu, y):
-    res = minimize(
-        ws.objective,
-        x.ravel(),
-        args=(lam_inv, mu, y),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": 12_000, "ftol": FTOL, "gtol": 1e-10, "maxcor": 30},
-    )
-    return res.x.reshape(ws.n - 1, 3), res
 
 
 def solve(problem: OptimizationProblem, warm_start: np.ndarray | None = None) -> ControlSolution:
@@ -510,7 +487,11 @@ def _solve_in_workspace(ws: _Workspace, lam_inv: float, warm_start=None) -> Cont
     rounds = []
     for _ in range(MAX_ROUNDS):
         start = time.perf_counter()
-        x, res = _minimize_round(ws, x, lam_inv, mu, y)
+        res = minimize(
+            ws.objective, x.ravel(), args=(lam_inv, mu, y), jac=True, method="L-BFGS-B",
+            options={"maxiter": 12_000, "ftol": FTOL, "gtol": 1e-10, "maxcor": 30},
+        )
+        x = res.x.reshape(ws.n - 1, 3)
         sol = ws.evaluate(x, lam_inv, mu_final=mu)
         rounds.append(SolveRound(
             nit=int(res.nit), nfev=int(res.nfev), message=str(res.message),
@@ -543,16 +524,19 @@ def _solve_in_workspace(ws: _Workspace, lam_inv: float, warm_start=None) -> Cont
     )
 
 
-def sweep_lambda(problem: OptimizationProblem) -> SweepResult:
-    """Solve along the continuation ladder, warm-starting each point.
+def sweep_lambda(problem: OptimizationProblem, ladder) -> tuple[SweepPoint, ...]:
+    """Solve at each lambda_inv of ``ladder``, warm-starting each point from the last.
 
-    Per-point failures are recorded in the result and the sweep continues
-    from the last successful iterate.
+    The ladder must start at 0 and increase strictly; ``problem.lambda_inv``
+    is not read.  Per-point failures are recorded as points, and the sweep
+    continues from the last successful iterate.
     """
+    ladder = tuple(float(v) for v in ladder)
+    check_ladder(ladder, "continuation")
     ws = _Workspace(problem)
     points: list[SweepPoint] = []
     warm = None
-    for lam_inv in problem.continuation:
+    for lam_inv in ladder:
         try:
             sol = _solve_in_workspace(ws, lam_inv, warm_start=warm)
         except (BCUnreachable, NoDescent) as exc:
@@ -560,4 +544,4 @@ def sweep_lambda(problem: OptimizationProblem) -> SweepResult:
             continue
         points.append(SweepPoint(lam_inv, sol, rounds=sol.rounds))
         warm = sol.deviation_cells
-    return SweepResult(tuple(points))
+    return tuple(points)

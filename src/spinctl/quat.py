@@ -46,7 +46,6 @@ __all__ = [
     "qexp_vec",
     "qprefix",
     "qproduct",
-    "rotate_vec",
     "quat_to_matrix",
 ]
 
@@ -73,14 +72,6 @@ class Quat:
 
     def __post_init__(self):
         _check_finite(self.w, self.x, self.y, self.z)
-
-    @property
-    def scalar(self) -> float:
-        return self.w
-
-    @property
-    def vector(self) -> "PureQuat":
-        return PureQuat(self.x, self.y, self.z)
 
     def wxyz(self) -> tuple[float, float, float, float]:
         return (self.w, self.x, self.y, self.z)
@@ -133,14 +124,6 @@ class UnitQuat:
         if n == 0.0 or not math.isfinite(n):
             raise ValueError("cannot normalize a zero or non-finite quaternion")
         return UnitQuat(w / n, x / n, y / n, z / n)
-
-    @property
-    def scalar(self) -> float:
-        return self.w
-
-    @property
-    def vector(self) -> PureQuat:
-        return PureQuat(self.x, self.y, self.z)
 
     def wxyz(self) -> tuple[float, float, float, float]:
         return (self.w, self.x, self.y, self.z)
@@ -368,14 +351,6 @@ def qproduct(steps: np.ndarray) -> np.ndarray:
             nxt[..., -1, :] = acc[..., -1, :]
         acc = nxt
     return _normalize_wxyz(acc[..., 0, :])
-
-
-def rotate_vec(u: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Batched rotation u p conj(u): u is (..., 4) unit, p is (..., 3)."""
-    w = u[..., :1]
-    v = u[..., 1:]
-    cv = cross3(v, p)
-    return p + 2.0 * (w * cv + cross3(v, cv))
 
 
 def quat_to_matrix(u: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from spinctl.evolution import TargetRotation, drift_control, propagate_triad
-from spinctl.magnus import _PATH_BLOCK, PurePath, TimeGrid
+from spinctl.fidelity import _PATH_BLOCK
+from spinctl.magnus import PurePath, TimeGrid
 from spinctl.noise import OneOverF, assemble_covariance, sample_block
 
 # Transit-time units: all nondimensional rates are per tau.

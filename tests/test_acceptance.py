@@ -68,13 +68,12 @@ def paper_sweep(paper_kernel, paper_target):
         tau=TAU,
         lambda_inv=SWEEP_LADDER[-1],
         grid=TimeGrid(TAU, 512),
-        continuation=SWEEP_LADDER,
         tolerances=Tolerances(el_tol=SWEEP_EL_TOL),
     )
-    result = sweep_lambda(problem)
-    for point in result.points:
+    points = sweep_lambda(problem, SWEEP_LADDER)
+    for point in points:
         assert point.solution is not None, f"sweep failed at {point.lambda_inv}: {point.error}"
-    return problem, result
+    return problem, points
 
 
 def test_criterion_01_magnus_ode_matches_ordered_product():
@@ -211,8 +210,8 @@ def test_criterion_06_mc_vs_analytic_fidelity(paper_kernel, paper_target):
 
 
 def test_criterion_07_drift_baseline(paper_sweep, paper_kernel):
-    _, result = paper_sweep
-    sol = result.points[0].solution
+    _, points = paper_sweep
+    sol = points[0].solution
     assert sol.lambda_inv == 0.0
     quadrature = action_S(sol.triad, paper_kernel)
     rel = abs(sol.S - quadrature) / quadrature
@@ -226,8 +225,8 @@ def test_criterion_07_drift_baseline(paper_sweep, paper_kernel):
 
 
 def test_criterion_08_noise_axis_suppression(paper_sweep):
-    _, result = paper_sweep
-    band = [p.solution for p in result.points if 10.0 <= p.lambda_inv <= 100.0]
+    _, points = paper_sweep
+    band = [p.solution for p in points if 10.0 <= p.lambda_inv <= 100.0]
     worst_dwx = max(float(np.max(s.delta_omega.values[:, 0])) for s in band)
     mean_wz = [float(np.mean(s.control.omega_lab.values[:, 2])) for s in band]
     monotone = all(b > a for a, b in zip(mean_wz, mean_wz[1:]))
@@ -254,11 +253,11 @@ def test_criterion_09_action_monotone_along_sweep(paper_sweep):
     bound for every optimum) and as a competitor: each optimum's S_c must
     not exceed the drift's S + E/lambda_inv at the same lambda_inv.
     """
-    _, result = paper_sweep
-    drift = result.points[0].solution
+    _, points = paper_sweep
+    drift = points[0].solution
     assert drift.lambda_inv == 0.0
-    optima = [p.solution for p in result.points[1:]]
-    s_vals = [p.solution.S for p in result.points]
+    optima = [p.solution for p in points[1:]]
+    s_vals = [p.solution.S for p in points]
     e_vals = [s.E_out for s in optima]
     s_ok = all(b <= a for a, b in zip(s_vals, s_vals[1:]))
     e_ok = all(b >= a - 1e-9 for a, b in zip(e_vals, e_vals[1:]))
@@ -286,8 +285,8 @@ def test_criterion_09_fidelity_threshold_at_max_stiffness(paper_sweep):
     functional at these parameters.  The full analysis is in the README
     section "The criterion-9 fidelity threshold".
     """
-    _, result = paper_sweep
-    sol = result.points[-1].solution
+    _, points = paper_sweep
+    sol = points[-1].solution
     assert sol.lambda_inv == 250.0
     fid = fidelity_weak(SpinNumber(1), 0.1, sol.S)
     ok = fid >= 0.999
@@ -304,8 +303,8 @@ def test_criterion_09_fidelity_threshold_at_max_stiffness(paper_sweep):
 
 
 def test_criterion_10_spin_universality_of_ordering(paper_sweep):
-    _, result = paper_sweep
-    sols = sorted((p.solution for p in result.points), key=lambda s: s.S)
+    _, points = paper_sweep
+    sols = sorted((p.solution for p in points), key=lambda s: s.S)
     ok = True
     pairs = 0
     for i in range(len(sols)):

@@ -151,6 +151,19 @@ class TestValidateConfig:
             validate_config(json.dumps(cfg))
         assert err.value.diagnostics == ["field 'lambda_inv' must start at 0 and increase strictly"]
 
+    @pytest.mark.parametrize("base", [dict(SMALL_SWEEP, kind="solve", lambda_inv=0.0), SMALL_SWEEP])
+    def test_refine_steps_one_rejected_before_any_output(self, tmp_path, monkeypatch, capsys, base):
+        # One refinement step is no grid: it must fail validation, not the
+        # refinement after controls.csv is written.
+        monkeypatch.setenv("SPINCTL_OUT", str(tmp_path / "out"))
+        cfg = dict(base, refine_steps=1)
+        with pytest.raises(ConfigError) as err:
+            validate_config(json.dumps(cfg))
+        assert err.value.diagnostics == ["field 'refine_steps' must be 0 or >= 2"]
+        assert main([cfg["kind"], str(write_config(tmp_path, cfg))]) == 1
+        assert "config error: field 'refine_steps' must be 0 or >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestKernelTable:
     def test_zero_lag_row(self, tmp_path, monkeypatch):

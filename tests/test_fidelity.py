@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinctl import fidelity, magnus
+from spinctl import fidelity
 from spinctl.errors import DegenerateSample, DomainError
 from spinctl.evolution import propagate_triad
 from spinctl.fidelity import (
@@ -257,7 +257,6 @@ class TestMonteCarloTable:
         args = (triad, paper_kernel, self.EPSILONS, self.SPINS, self.COUNT, 31)
         default = mc_fidelity_table(*args)
         monkeypatch.setattr(fidelity, "_PATH_BLOCK", 7)
-        monkeypatch.setattr(magnus, "_PATH_BLOCK", 7)
         assert mc_fidelity_table(*args) == default
 
     def test_working_set_does_not_grow_with_count(self, paper_kernel):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from spinctl import magnus
+from spinctl import fidelity, magnus
 from spinctl.errors import NonConvergence, SingularCot, UnsupportedOrder
 from spinctl.magnus import (
     PurePath,
@@ -38,6 +38,19 @@ def rotating_field(grid, omega=4.0 * math.pi):
     t = grid.nodes
     vals = np.stack([np.cos(omega * t), np.sin(omega * t), np.zeros(len(t))], axis=1)
     return PurePath(grid, vals)
+
+
+class TestTimeGrid:
+    def test_integral_float_step_count_is_stored_as_int(self):
+        grid = TimeGrid(1.0, 512.0)
+        assert type(grid.n_steps) is int
+        assert len(grid.nodes) == 513
+        assert grid == TimeGrid(1.0, 512)
+
+    @pytest.mark.parametrize("n_steps", [1, 512.5])
+    def test_bad_step_count_rejected(self, n_steps):
+        with pytest.raises(ValueError, match="n_steps must be an integer >= 2"):
+            TimeGrid(1.0, n_steps)
 
 
 class TestTimeOrderedExp:
@@ -112,11 +125,11 @@ class TestTimeOrderedExp:
         np.testing.assert_array_equal(ordered_exp_batch(view, 0.8, grid.dt), ordered_exp_batch(values, 0.8, grid.dt))
 
     def test_path_blocks_and_shared_node_sums_keep_bits(self):
-        # More paths than one step block, the last block partial; the
-        # reference forms every step of every path in one array.
+        # A batch larger than one Monte Carlo block, with and without shared
+        # node sums; the reference forms every step of every path in one array.
         grid = TimeGrid(1.0, 40)
         rng = np.random.default_rng(25)
-        n_paths = 2 * magnus._PATH_BLOCK + 7
+        n_paths = 2 * fidelity._PATH_BLOCK + 7
         field = np.ascontiguousarray(rng.normal(size=(3, grid.n_nodes, n_paths)))
         values = field.transpose(2, 1, 0)
         expect = qproduct(qexp_vec(0.25 * 0.8 * grid.dt * (values[:, :-1] + values[:, 1:])))

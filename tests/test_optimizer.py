@@ -208,6 +208,24 @@ class TestDriftBaseline:
         sol = evaluate_deviation(problem, np.zeros((256, 3)))
         assert el_residual(sol, problem) < 1e-9
 
+    def test_cell_convolution_built_only_where_read(self, paper_kernel, paper_target, monkeypatch):
+        # The cell convolution serves the objective and the lambda_inv > 0
+        # certificate only: the drift solve builds none, and evaluating a
+        # stiff point builds the certificate grid's alone.
+        built = []
+        orig = LagConvolution.cells
+
+        def counted(kernel, n_cells, dt):
+            built.append(n_cells)
+            return orig(kernel, n_cells, dt)
+
+        monkeypatch.setattr(LagConvolution, "cells", counted)
+        solve(paper_problem(paper_kernel, paper_target, n_steps=512, lambda_inv=0.0))
+        assert built == []
+        evaluate_deviation(paper_problem(paper_kernel, paper_target, n_steps=16, lambda_inv=10.0),
+                           np.zeros((16, 3)))
+        assert built == [64]
+
 
 class TestSolveCertificates:
     def test_converged_solution_certifies(self, solved_50):
@@ -278,25 +296,17 @@ class TestSweep:
     @pytest.mark.parametrize("ladder", [(10.0, 20.0), (0.0, 10.0, 10.0), (0.0, 20.0, 10.0)])
     def test_bad_ladder_rejected(self, paper_kernel, paper_target, ladder):
         with pytest.raises(ValueError, match="^continuation must start at 0 and increase strictly$"):
-            paper_problem(paper_kernel, paper_target, n_steps=16, lambda_inv=0.0, continuation=ladder)
+            sweep_lambda(paper_problem(paper_kernel, paper_target, n_steps=16, lambda_inv=0.0), ladder)
 
     def test_single_point_sweep_is_drift(self, paper_kernel, paper_target):
-        problem = paper_problem(
-            paper_kernel, paper_target, n_steps=128, lambda_inv=0.0, continuation=(0.0,)
-        )
-        res = sweep_lambda(problem)
-        assert len(res.points) == 1
-        sol = res.points[0].solution
+        problem = paper_problem(paper_kernel, paper_target, n_steps=128, lambda_inv=0.0)
+        points = sweep_lambda(problem, (0.0,))
+        assert len(points) == 1
+        sol = points[0].solution
         assert np.max(np.abs(sol.delta_omega_rot.values)) == 0.0
 
     def test_warm_matches_cold(self, paper_kernel, paper_target, solved_50):
-        problem = paper_problem(
-            paper_kernel,
-            paper_target,
-            n_steps=1024,
-            lambda_inv=50.0,
-            continuation=(0.0, 50.0),
-        )
-        warm = sweep_lambda(problem).points[-1].solution
+        problem = paper_problem(paper_kernel, paper_target, n_steps=1024, lambda_inv=50.0)
+        warm = sweep_lambda(problem, (0.0, 50.0))[-1].solution
         _, cold = solved_50
         assert warm.S == pytest.approx(cold.S, rel=1e-4)
