@@ -9,6 +9,9 @@ evolution   rotating-triad kinematics, control recovery, targets, drift
 fidelity    closed-form fidelity for arbitrary spin + Monte Carlo estimator
 optimizer   constrained variational solver and lambda_inv continuation
 cli         batch front end (JSON configs -> CSV/JSON artifacts)
+
+SciPy is imported inside the functions that use it, never at module level,
+so ``import spinctl`` loads numpy only and ``magnus-check`` never loads SciPy.
 """
 
 __version__ = "0.1.0"

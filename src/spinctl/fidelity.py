@@ -182,6 +182,11 @@ def _estimate(
     )
 
 
+def _head(buf: np.ndarray, shape, order="C") -> np.ndarray:
+    """Head of the flat ``buf`` as a contiguous ``shape``: any block gets a fresh array's layout and bits."""
+    return buf[: math.prod(shape)].reshape(shape, order=order)
+
+
 def mc_fidelity_table(
     triad: TriadPath,
     kernel: NoiseKernel,
@@ -221,19 +226,25 @@ def mc_fidelity_table(
     # B_r[k] = E_k^T a_r: the rotating-frame image of kernel term r at node k.
     proj = np.einsum("ri,kic->rkc", kernel.axes, triad.values)
 
+    # Block work arrays, allocated once so the heap does not churn through block-sized allocations.
+    n, paths = grid.n_nodes, min(_PATH_BLOCK, count)
+    rot_buf, sums_buf, steps_buf = (np.empty(k * paths) for k in (3 * n, 3 * n - 3, 4 * n - 4))
     blocks = [[[] for _ in spins] for _ in epsilons]
     for start in range(0, count, _PATH_BLOCK):
-        xi = sample_block(cov, seed, start, min(_PATH_BLOCK, count - start))
+        size = min(_PATH_BLOCK, count - start)
+        xi = sample_block(cov, seed, start, size)
         # Component-major (3, n_nodes, paths), the ordered product's fast
         # layout, by one transposing pass over xi; rot.T is (paths, n_nodes, 3).
-        rot = np.empty((3, grid.n_nodes, len(xi)))
+        rot = _head(rot_buf, (3, n, size))
         np.multiply(proj[0].T[:, :, None], xi[:, 0].T, out=rot)
         for r in range(1, len(proj)):
             rot += proj[r].T[:, :, None] * xi[:, r].T
-        del xi  # free the draw before the node sums are allocated
-        sums = rot[:, :-1] + rot[:, 1:]  # epsilon-independent, so formed once per block
+        del xi  # free the draw before the products allocate their temporaries
+        # epsilon-independent, so formed once per block
+        sums = np.add(rot[:, :-1], rot[:, 1:], out=_head(sums_buf, (3, n - 1, size)))
+        steps = _head(steps_buf, (size, n - 1, 4), order="F")
         for row, eps in zip(blocks, epsilons):
-            a_half = ordered_exp_batch(rot.T, eps, grid.dt, node_sums=sums.T)[:, 0]
+            a_half = ordered_exp_batch(rot.T, eps, grid.dt, node_sums=sums.T, out=steps)[:, 0]
             for cell, spin in zip(row, spins):
                 cell.append(_amplitudes_from_half(a_half, spin))
 

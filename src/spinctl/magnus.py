@@ -121,7 +121,7 @@ def time_ordered_exp(n: PurePath, epsilon) -> UnitQuat:
     return UnitQuat.normalized(*(float(c) for c in qproduct(steps)))
 
 
-def ordered_exp_batch(values: np.ndarray, epsilon, dt: float, node_sums=None) -> np.ndarray:
+def ordered_exp_batch(values: np.ndarray, epsilon, dt: float, node_sums=None, out=None) -> np.ndarray:
     """Ordered midpoint product for a batch of sampled fields.
 
     ``values`` has shape (batch, n_nodes, 3), any layout; component-major
@@ -131,11 +131,13 @@ def ordered_exp_batch(values: np.ndarray, epsilon, dt: float, node_sums=None) ->
     quaternions of shape (batch, 4).  Same discretization as
     ``time_ordered_exp``.  The step exponents are built in place in one
     component-major step array of the whole batch, so the Monte Carlo
-    pipeline passes one block of paths at a time.
+    pipeline passes one block of paths at a time; ``out`` (batch,
+    n_nodes - 1, 4) may pass that step array, to be overwritten, so a
+    caller reuses it from block to block.
     """
     if node_sums is None:
         node_sums = values[:, :-1, :] + values[:, 1:, :]
-    steps = np.empty(node_sums.shape[:-1] + (4,), order="F")
+    steps = np.empty(node_sums.shape[:-1] + (4,), order="F") if out is None else out
     v = np.multiply(node_sums, 0.25 * float(epsilon) * dt, out=steps[..., 1:])
     return qproduct(qexp_vec(v, out=steps))
 

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
-from scipy.special import exp1
 
 from .errors import DomainError, NotPSD
 from .magnus import TimeGrid, _trapezoid_weights
@@ -55,6 +53,7 @@ def exp_integral_e1(x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise DomainError("exp_integral_e1 requires x > 0")
+    from scipy.special import exp1  # on first use; see the package docstring
     return float(exp1(arr)) if arr.ndim == 0 else exp1(arr)
 
 
@@ -253,6 +252,7 @@ def _factor_term(col: np.ndarray, r: int) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of toeplitz(col) and the diagonal jitter it needed."""
     if not np.any(col):
         return np.zeros((len(col), len(col))), 0.0
+    from scipy.linalg import toeplitz  # on first use; see the package docstring
     block = toeplitz(col)
     for jit in _JITTERS:
         # The Toeplitz diagonal is col[0]; the jitter is written onto it in place.

@@ -28,8 +28,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import minimize
 
 from .errors import BCUnreachable, NoDescent
 from .evolution import ControlPath, TargetRotation, TriadPath, drift_for_target
@@ -74,7 +72,9 @@ class Tolerances:
 
 
 def check_ladder(values, name: str):
-    """Raise ValueError unless a lambda_inv ladder is empty or starts at 0 and increases strictly."""
+    """Raise ValueError unless a lambda_inv ladder is empty, or finite, starting at 0 and strictly increasing."""
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{name} must be finite")
     if values and (values[0] != 0.0 or any(b <= a for a, b in zip(values, values[1:]))):
         raise ValueError(f"{name} must start at 0 and increase strictly")
 
@@ -163,6 +163,7 @@ class SweepPoint:
 
 def _resample_cells(cells: np.ndarray, grid: TimeGrid, t_dst: np.ndarray) -> np.ndarray:
     """Cubic-spline resampling of cell values from a grid's cell centers to times ``t_dst``."""
+    from scipy.interpolate import CubicSpline  # on first use; see the package docstring
     return CubicSpline(grid.centers, cells, axis=0)(t_dst)
 
 
@@ -472,6 +473,12 @@ def solve(problem: OptimizationProblem, warm_start: np.ndarray | None = None) ->
     """
     ws = _Workspace(problem)
     return _solve_in_workspace(ws, problem.lambda_inv, warm_start)
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize`` on first use, under the module name the benchmark's tracer rebinds."""
+    from scipy import optimize
+    return optimize.minimize(*args, **kwargs)
 
 
 def _solve_in_workspace(ws: _Workspace, lam_inv: float, warm_start=None) -> ControlSolution:

@@ -136,6 +136,18 @@ class TestTimeOrderedExp:
         sums = (field[:, :-1] + field[:, 1:]).T
         np.testing.assert_array_equal(ordered_exp_batch(values, 0.8, grid.dt), expect)
         np.testing.assert_array_equal(ordered_exp_batch(values, 0.8, grid.dt, node_sums=sums), expect)
+        # A reused step array, as the Monte Carlo table passes it: a full
+        # block, then the short last block over the head of the same buffer.
+        block = fidelity._PATH_BLOCK
+        buf = np.empty(block * grid.n_steps * 4)
+        full = fidelity._head(buf, (block, grid.n_steps, 4), order="F")
+        np.testing.assert_array_equal(
+            ordered_exp_batch(values[:block], 0.8, grid.dt, node_sums=sums[:block], out=full), expect[:block]
+        )
+        tail = fidelity._head(buf, (7, grid.n_steps, 4), order="F")
+        np.testing.assert_array_equal(
+            ordered_exp_batch(values[-7:], 0.8, grid.dt, node_sums=sums[-7:], out=tail), expect[-7:]
+        )
 
 
 class TestSolveMOde:

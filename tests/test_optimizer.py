@@ -298,6 +298,12 @@ class TestSweep:
         with pytest.raises(ValueError, match="^continuation must start at 0 and increase strictly$"):
             sweep_lambda(paper_problem(paper_kernel, paper_target, n_steps=16, lambda_inv=0.0), ladder)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_ladder_rejected(self, paper_kernel, paper_target, bad):
+        # NaN compares false with everything, so the order check alone lets it through.
+        with pytest.raises(ValueError, match="^continuation must be finite$"):
+            sweep_lambda(paper_problem(paper_kernel, paper_target, n_steps=16, lambda_inv=0.0), (0.0, bad))
+
     def test_single_point_sweep_is_drift(self, paper_kernel, paper_target):
         problem = paper_problem(paper_kernel, paper_target, n_steps=128, lambda_inv=0.0)
         points = sweep_lambda(problem, (0.0,))

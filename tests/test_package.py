@@ -1,0 +1,69 @@
+"""Package-level contracts: what ``import spinctl`` loads, and the names a tracer rebinds."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import spinctl
+from spinctl import optimizer
+from spinctl.magnus import TimeGrid
+from spinctl.optimizer import OptimizationProblem
+
+LAYERS = ("quat", "magnus", "noise", "evolution", "fidelity", "optimizer", "cli")
+# SciPy's compiled submodules; each is imported only inside the function that uses it.
+SCIPY_SUBMODULES = ("scipy.optimize", "scipy.interpolate", "scipy.linalg", "scipy.special")
+
+
+def fresh_modules(code: str, cwd: Path) -> set[str]:
+    """``sys.modules`` after running ``code`` in a new interpreter with BLAS threads at 1."""
+    src = str(Path(spinctl.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    run = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return set(json.loads(run.stdout.splitlines()[-1]))
+
+
+class TestColdStart:
+    def test_import_loads_every_layer_and_no_scipy_submodule(self, tmp_path):
+        loaded = fresh_modules("import spinctl", tmp_path)
+        assert {f"spinctl.{name}" for name in LAYERS} <= loaded
+        assert loaded.isdisjoint(SCIPY_SUBMODULES)
+
+    def test_magnus_check_loads_no_scipy_submodule(self, tmp_path):
+        config = {"kind": "magnus-check", "tau": 1.0, "paths": 2, "epsilon": [0.1, 0.5],
+                  "grid_steps": 200, "seed": 4}
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        code = ("import os\nos.environ['SPINCTL_OUT'] = 'out'\nfrom spinctl import cli\n"
+                "assert cli.main(['magnus-check', 'cfg.json']) == 0")
+        loaded = fresh_modules(code, tmp_path)
+        assert (tmp_path / "out" / "magnus.csv").exists()
+        assert loaded.isdisjoint(SCIPY_SUBMODULES)
+
+
+def test_solve_calls_module_minimize_once_per_round(paper_kernel, paper_target, monkeypatch):
+    # A tracer rebinds optimizer.minimize; the solver must look it up by that name.
+    problem = OptimizationProblem(kernel=paper_kernel, target=paper_target, tau=1.0,
+                                  lambda_inv=1.0, grid=TimeGrid(1.0, 256))
+    expect = optimizer.solve(problem)
+    calls = []
+    inner = optimizer.minimize
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "minimize", counting)
+    sol = optimizer.solve(problem)
+    assert len(sol.rounds) >= 2
+    assert len(calls) == len(sol.rounds)
+    np.testing.assert_array_equal(sol.deviation_cells, expect.deviation_cells)
+    assert (sol.S, sol.el_residual, sol.bc_error) == (expect.S, expect.el_residual, expect.bc_error)
+    assert [(r.nit, r.nfev, r.el_residual) for r in sol.rounds] == [
+        (r.nit, r.nfev, r.el_residual) for r in expect.rounds
+    ]
