@@ -11,7 +11,8 @@ optimizer   constrained variational solver and lambda_inv continuation
 cli         batch front end (JSON configs -> CSV/JSON artifacts)
 
 SciPy is imported inside the functions that use it, never at module level,
-so ``import spinctl`` loads numpy only and ``magnus-check`` never loads SciPy.
+so ``import spinctl`` loads numpy only and ``magnus-check`` never loads SciPy;
+so is the Monte Carlo thread pool, which no other kind starts.
 """
 
 __version__ = "0.1.0"

@@ -40,7 +40,7 @@ class NonConvergence(SpinctlError):
 
 
 class NotPSD(SpinctlError):
-    """Covariance could not be factorized even with jitter escalation."""
+    """A covariance's circulant embedding has a spectrum negative beyond rounding."""
 
     def __init__(self, message, min_eigenvalue=None):
         super().__init__(message)

@@ -12,6 +12,7 @@ validates the closed forms from that raw definition.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +35,12 @@ __all__ = [
 ]
 
 # Paths per block of the Monte Carlo pipeline: ``mc_fidelity_table`` draws,
-# rotates and multiplies out (``magnus.ordered_exp_batch``) one block before
-# the next.  Every path's ordered product is independent of the others, so
-# blocks bound the working set without changing a bit of it.
-_PATH_BLOCK = 256
+# rotates and multiplies out (``magnus.ordered_exp_batch``) each block in
+# one worker.  Every path's draw and ordered product are independent of the
+# others, so blocks bound the working set without changing a bit of it.
+_PATH_BLOCK = 128
+# Worker threads for the blocks: the CPUs this process may run on.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -67,8 +70,9 @@ class SpinNumber:
 class FidelityEstimate:
     """Monte Carlo fidelity: complex mean, standard error, analytic prediction.
 
-    ``jitter`` is the diagonal jitter of the covariance factorization the
-    noise paths were drawn from (``noise.CovarianceOperator.jitter``).
+    ``jitter`` is the largest negative spectral value, relative to its
+    term's largest, clipped from the circulant embedding the noise paths
+    were drawn from (``noise.CovarianceOperator.jitter``); 0 for 1/f noise.
     """
 
     mean: complex
@@ -202,15 +206,15 @@ def mc_fidelity_table(
     control triad; its ordered exponential is taken at each epsilon and the
     scalar part lifted to every requested spin.  The noise enters the
     spin-s amplitude only through the spin-1/2 ordered exponential, and
-    epsilon only through that product, so each kernel term is factorized
-    once.  Paths then run in blocks of ``_PATH_BLOCK``: each block is
-    drawn and rotated and its node sums are formed once, its ordered product
-    runs once per epsilon, and it is lifted to every spin before the next
-    block is drawn, so the working set does not grow with ``count``.  Path p
-    always draws from Philox substream p of the seed, so every cell equals a
-    separate ``mc_fidelity`` call bit for bit; another block size can move
-    a path only by the coloring matmul's rounding.  Sample means use
-    compensated summation.
+    epsilon only through that product, so each kernel term's spectrum is
+    formed once.  Paths run in blocks of ``_PATH_BLOCK`` on ``_WORKERS``
+    threads, each with its own work arrays, so the working set grows with the
+    workers, not with ``count``: a block is drawn and rotated, multiplied out
+    once per epsilon and lifted to every spin.  Path p comes from Philox
+    substream p // 2 whatever its block, and the amplitudes go back in block
+    order before the compensated sample means, so every cell equals a
+    separate ``mc_fidelity`` call bit for bit, for any block size and
+    worker count.
 
     Returns
     -------
@@ -221,38 +225,43 @@ def mc_fidelity_table(
     """
     if count < 2:
         raise DegenerateSample("need at least 2 samples for a standard error")
-    grid = triad.grid
+    import threading
+    from concurrent.futures import ThreadPoolExecutor  # on first use; see the package docstring
+
+    grid, n = triad.grid, triad.grid.n_nodes
     cov = assemble_covariance(kernel, grid)
     # B_r[k] = E_k^T a_r: the rotating-frame image of kernel term r at node k.
     proj = np.einsum("ri,kic->rkc", kernel.axes, triad.values)
+    starts = range(0, count, _PATH_BLOCK)
+    workers = min(_WORKERS, len(starts))
+    # Block work arrays, allocated here so the heap does not churn; each worker
+    # thread takes one set when it starts and reuses it block after block.
+    bufs = [[np.empty(k * min(_PATH_BLOCK, count)) for k in (3 * n, 4 * n - 4)] for _ in range(workers)]
+    local = threading.local()
 
-    # Block work arrays, allocated once so the heap does not churn through block-sized allocations.
-    n, paths = grid.n_nodes, min(_PATH_BLOCK, count)
-    rot_buf, sums_buf, steps_buf = (np.empty(k * paths) for k in (3 * n, 3 * n - 3, 4 * n - 4))
-    blocks = [[[] for _ in spins] for _ in epsilons]
-    for start in range(0, count, _PATH_BLOCK):
+    def run_block(start):
         size = min(_PATH_BLOCK, count - start)
         xi = sample_block(cov, seed, start, size)
         # Component-major (3, n_nodes, paths), the ordered product's fast
         # layout, by one transposing pass over xi; rot.T is (paths, n_nodes, 3).
-        rot = _head(rot_buf, (3, n, size))
+        rot = _head(local.bufs[0], (3, n, size))
         np.multiply(proj[0].T[:, :, None], xi[:, 0].T, out=rot)
         for r in range(1, len(proj)):
             rot += proj[r].T[:, :, None] * xi[:, r].T
         del xi  # free the draw before the products allocate their temporaries
-        # epsilon-independent, so formed once per block
-        sums = np.add(rot[:, :-1], rot[:, 1:], out=_head(sums_buf, (3, n - 1, size)))
-        steps = _head(steps_buf, (size, n - 1, 4), order="F")
-        for row, eps in zip(blocks, epsilons):
+        steps = _head(local.bufs[1], (size, n - 1, 4), order="F")
+        cells = []
+        for eps in epsilons:
+            # The node sums go straight into the step array, where the ordered product scales them.
+            sums = np.add(rot[:, :-1], rot[:, 1:], out=steps.T[1:])
             a_half = ordered_exp_batch(rot.T, eps, grid.dt, node_sums=sums.T, out=steps)[:, 0]
-            for cell, spin in zip(row, spins):
-                cell.append(_amplitudes_from_half(a_half, spin))
+            cells += [_amplitudes_from_half(a_half, spin) for spin in spins]
+        return cells
 
+    with ThreadPoolExecutor(workers, initializer=lambda: setattr(local, "bufs", bufs.pop())) as pool:
+        cells = iter(np.concatenate(list(pool.map(run_block, starts)), axis=1))
     S = action_S(triad, kernel)
-    return [
-        [_estimate(np.concatenate(cell), spin, eps, S, cov.jitter) for cell, spin in zip(row, spins)]
-        for row, eps in zip(blocks, epsilons)
-    ]
+    return [[_estimate(next(cells), spin, eps, S, cov.jitter) for spin in spins] for eps in epsilons]
 
 
 def mc_fidelity(
@@ -266,7 +275,7 @@ def mc_fidelity(
     """Monte Carlo fidelity estimate against the analytic weak-noise value.
 
     The one-cell case of ``mc_fidelity_table``: ``count`` lab-frame noise
-    paths from Philox substreams 0 .. count-1 of ``seed``, rotated onto
+    paths, in pairs from Philox substreams 0, 1, ... of ``seed``, rotated onto
     ``triad``, their ordered exponential at ``epsilon`` lifted to ``spin``.
     """
     return mc_fidelity_table(triad, kernel, (epsilon,), (spin,), count, seed)[0][0]

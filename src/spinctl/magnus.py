@@ -11,15 +11,13 @@ rotation vector m(t).  This module provides:
   resummation of the perturbative (Magnus-type) series; ``solve_m_ode_batch``
   steps many (path, eps) lanes of it together,
 * ``magnus_term``      -- individual perturbative orders 0..2,
-* ``magnus_iterate``   -- fixed-point iteration of the exact equation,
-* ``bernoulli``        -- the Bernoulli numbers entering the series.
+* ``magnus_iterate``   -- fixed-point iteration of the exact equation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
@@ -38,7 +36,6 @@ __all__ = [
     "magnus_term",
     "magnus_iterate",
     "MagnusIterateResult",
-    "bernoulli",
     "random_smooth_path",
 ]
 
@@ -126,8 +123,8 @@ def ordered_exp_batch(values: np.ndarray, epsilon, dt: float, node_sums=None, ou
 
     ``values`` has shape (batch, n_nodes, 3), any layout; component-major
     memory (3, n_nodes, batch) is the fast one.  ``node_sums`` may pass
-    ``values[:, :-1] + values[:, 1:]`` already formed, so a caller running
-    several epsilon on one batch adds the nodes once.  Returns unit
+    ``values[:, :-1] + values[:, 1:]`` already formed, also as
+    ``out[..., 1:]`` itself, where it is scaled in place.  Returns unit
     quaternions of shape (batch, 4).  Same discretization as
     ``time_ordered_exp``.  The step exponents are built in place in one
     component-major step array of the whole batch, so the Monte Carlo
@@ -498,18 +495,3 @@ def random_smooth_path(
         phase = 2.0 * math.pi * h * t
         vals += np.outer(np.cos(phase), a) + np.outer(np.sin(phase), b)
     return PurePath(grid, vals)
-
-
-def bernoulli(j: int) -> Fraction:
-    """Bernoulli number B_j (B_1 = -1/2 convention) via the explicit double sum."""
-    if j < 0 or j > 20:
-        raise ValueError("bernoulli(j) supports 0 <= j <= 20")
-    total = Fraction(0)
-    for k in range(j + 1):
-        for el in range(k + 1):
-            term = Fraction(
-                (-1) ** el * math.factorial(k) * el**j,
-                math.factorial(el) * math.factorial(k - el) * (k + 1),
-            )
-            total += term
-    return total

@@ -10,9 +10,9 @@ applies those terms on a uniform grid by FFT with precomputed circulant
 spectra; it is the one quadrature of the action, the dual triad, the solver
 objective and its certificate.  For sampling, the noise is sum_r xi_r(t) a_r
 with independent scalar processes xi_r, so each term's n x n Toeplitz grid
-covariance is factorized on its own; sampling uses counter-based per-path
-substreams so draws are deterministic given the seed and parallelizable
-across paths.
+covariance is sampled on its own, exactly, by FFT of its minimal circulant
+embedding; sampling uses counter-based per-pair substreams so draws are
+deterministic given the seed and parallelizable across paths.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ __all__ = [
     "sample_block",
 ]
 
-# Jitter escalation ladder, as fractions of a term's diagonal entry.
-_JITTERS = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
+# Most negative spectral value of an embedding, relative to its largest, that counts as rounding.
+_SPECTRUM_FLOOR = 1e-12
 
 
 def exp_integral_e1(x):
@@ -171,6 +171,15 @@ class DiagonalConstant(NoiseKernel):
         return np.zeros(3)
 
 
+def _embed(cols: np.ndarray, m: int) -> np.ndarray:
+    """Lag columns (R, n) as the first rows of symmetric circulants of length m >= 2n - 2; shape (R, m)."""
+    n = cols.shape[1]
+    emb = np.zeros((len(cols), m))
+    emb[:, :n] = cols
+    emb[:, m - n + 1 :] = cols[:, :0:-1]
+    return emb
+
+
 class LagConvolution:
     """Stationary lag convolution of a kernel's terms on a uniform grid, by FFT.
 
@@ -192,11 +201,8 @@ class LagConvolution:
         cols = kernel.lag_profiles(dt * np.arange(n))
         if kink:
             cols[:, 0] += kernel.lag_slopes_at_zero() * dt / 6.0
-        emb = np.zeros((len(cols), self.m))
-        emb[:, :n] = cols
-        emb[:, self.m - n + 1 :] = cols[:, :0:-1]
         # A symmetric embedding has a real spectrum.
-        self.spectra = np.fft.rfft(emb, axis=1).real[:, :, None]
+        self.spectra = np.fft.rfft(_embed(cols, self.m), axis=1).real[:, :, None]
 
     @classmethod
     def nodes(cls, kernel: NoiseKernel, grid: TimeGrid) -> "LagConvolution":
@@ -229,13 +235,15 @@ class LagConvolution:
 
 @dataclass(frozen=True)
 class CovarianceOperator:
-    """Per-term grid covariances of a kernel and their (jittered) Cholesky factors.
+    """Per-term grid covariances of a kernel and the spectra that sample them.
 
     Term r is a scalar process xi_r with the n_nodes x n_nodes Toeplitz
     covariance f_r(|t_a - t_b|).  ``matrix`` holds the lag columns
-    f_r(j dt), shape (R, n_nodes); ``factor`` stacks the lower factors L_r
-    of the terms vertically, shape (R n_nodes, n_nodes); ``jitter`` is the
-    largest diagonal jitter added to any term.
+    f_r(j dt), shape (R, n_nodes).  Each column is embedded in the minimal
+    symmetric circulant of length m = 2 n_nodes - 2, with spectrum lambda_r;
+    ``factor`` holds sqrt(lambda_r / m), shape (R, m).  ``jitter`` is the
+    largest negative spectral value clipped to 0, relative to its term's
+    largest (0 for a nonnegative spectrum).
     """
 
     grid: TimeGrid
@@ -248,52 +256,44 @@ class CovarianceOperator:
         self.factor.setflags(write=False)
 
 
-def _factor_term(col: np.ndarray, r: int) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of toeplitz(col) and the diagonal jitter it needed."""
-    if not np.any(col):
-        return np.zeros((len(col), len(col))), 0.0
-    from scipy.linalg import toeplitz  # on first use; see the package docstring
-    block = toeplitz(col)
-    for jit in _JITTERS:
-        # The Toeplitz diagonal is col[0]; the jitter is written onto it in place.
-        np.fill_diagonal(block, col[0] + jit * col[0])
-        try:
-            return np.linalg.cholesky(block), jit * col[0]
-        except np.linalg.LinAlgError:
-            continue
-    np.fill_diagonal(block, col[0])
-    min_eig = float(np.linalg.eigvalsh(block)[0])
-    raise NotPSD(
-        f"covariance of kernel term {r} not positive semidefinite within jitter "
-        f"ladder; most negative eigenvalue ~ {min_eig:.3e}",
-        min_eigenvalue=min_eig,
-    )
-
-
 def assemble_covariance(kernel: NoiseKernel, grid: TimeGrid) -> CovarianceOperator:
-    """Factorize the n_nodes x n_nodes Toeplitz covariance f_r(|t_a - t_b|) of each kernel term.
+    """Spectra of the minimal circulant embeddings of each kernel term's grid covariance.
 
-    Cholesky is attempted with a diagonal jitter escalated from 0 through
-    1e-8 of the term's diagonal entry; an all-zero term short-circuits to a
-    zero factor.
+    The Toeplitz covariance f_r(|t_a - t_b|) on n nodes is the leading block
+    of a symmetric circulant of length m = 2n - 2; when the circulant's
+    spectrum is nonnegative, one FFT draws it exactly (Dietrich & Newsam,
+    SIAM J. Sci. Comput. 18, 1088 (1997); Wood & Chan, J. Comput. Graph.
+    Stat. 3, 409 (1994)).  A convex decreasing profile, such as the 1/f
+    mixture of exponentials, has a nonnegative minimal embedding.  Spectral
+    values down to ``_SPECTRUM_FLOOR`` of the term's largest are rounding,
+    clipped to 0.
 
     Raises
     ------
     NotPSD
-        If every jitter level fails for a term; the error carries an
-        estimate of that term's most negative eigenvalue.
+        If a term's spectrum falls below that floor; the error carries the
+        term's most negative spectral value.
     """
-    cols = np.array(kernel.lag_profiles(grid.dt * np.arange(grid.n_nodes)), dtype=float)
-    factors, jitters = zip(*(_factor_term(col, r) for r, col in enumerate(cols)))
-    return CovarianceOperator(grid, cols, np.vstack(factors), max(jitters))
+    n, m = grid.n_nodes, 2 * grid.n_nodes - 2
+    cols = np.array(kernel.lag_profiles(grid.dt * np.arange(n)), dtype=float)
+    lam = np.fft.fft(_embed(cols, m), axis=1).real
+    neg, top = np.maximum(-lam.min(axis=1), 0.0), lam.max(axis=1)
+    for r in np.flatnonzero(neg > _SPECTRUM_FLOOR * top):
+        raise NotPSD(
+            f"circulant embedding of kernel term {r} is not positive semidefinite; "
+            f"most negative spectral value {-neg[r]:.3e} against a largest of {top[r]:.3e}",
+            min_eigenvalue=float(-neg[r]),
+        )
+    jitter = float(np.divide(neg, top, out=np.zeros_like(neg), where=neg > 0.0).max())
+    return CovarianceOperator(grid, cols, np.sqrt(np.maximum(lam, 0.0) / m), jitter)
 
 
 def _path_normals(seed: int, start: int, count: int, dim: int) -> np.ndarray:
-    """Standard normals for paths [start, start+count), one substream each.
+    """Standard normals for substreams [start, start+count), one row each.
 
     Substream p is ``Philox(key=seed).jumped(p)``.  ``jumped(p)`` advances
-    the 256-bit counter by p * 2**128, so one generator serves every path,
-    reset per path to counter word 2 = p and an empty output buffer.
+    the 256-bit counter by p * 2**128, so one generator serves every
+    substream, reset per row to counter word 2 = p and an empty output buffer.
     """
     out = np.empty((count, dim))
     gen = np.random.Generator(np.random.Philox(key=seed))
@@ -306,15 +306,21 @@ def _path_normals(seed: int, start: int, count: int, dim: int) -> np.ndarray:
 
 
 def sample_block(cov: CovarianceOperator, seed: int, start: int, count: int) -> np.ndarray:
-    """Term scalars xi for substreams [start, start + count); shape (count, R, n_nodes).
+    """Term scalars xi for paths [start, start + count); shape (count, R, n_nodes).
 
-    Path p draws R n_nodes normals from its substream; term r colors
-    normals [r n_nodes, (r + 1) n_nodes) with its factor L_r.  The lab-frame
-    noise of the path is sum_r xi_r a_r.
+    Paths come in pairs.  Pair q draws 2 R m normals from substream q, read
+    as complex vectors z_r = z1 + i z2, one per term, and
+    y_r = FFT(factor_r * z_r) has independent real and imaginary parts,
+    each with term r's circulant covariance: path 2q is Re y_r[:n_nodes]
+    and path 2q + 1 is Im y_r[:n_nodes].  The FFT transforms every row on
+    its own, so a path's xi does not depend on the block it is drawn in.
+    The lab-frame noise of the path is sum_r xi_r a_r.
     """
-    n = cov.grid.n_nodes
-    terms = cov.factor.shape[0] // n
-    z = _path_normals(seed, start, count, terms * n).reshape(count, terms, n)
-    for r in range(terms):
-        z[:, r] = z[:, r] @ cov.factor[r * n : (r + 1) * n].T
-    return z
+    (terms, m), n = cov.factor.shape, cov.grid.n_nodes
+    first = start // 2
+    pairs = (start + count + 1) // 2 - first
+    z = _path_normals(seed, first, pairs, 2 * terms * m).view(complex).reshape(pairs, terms, m)
+    z *= cov.factor
+    y = np.fft.fft(z, axis=2, out=z)[:, :, :n]
+    xi = np.stack((y.real, y.imag), axis=1).reshape(2 * pairs, terms, n)
+    return xi[start - 2 * first : start - 2 * first + count]

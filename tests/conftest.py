@@ -46,10 +46,10 @@ def sample_paths(kernel, grid: TimeGrid, count: int, seed: int, cov=None) -> np.
     """Lab-frame noise paths from Philox substreams 0 .. count-1 of ``seed``; (count, 3, n_nodes).
 
     Sampling oracle: the term scalars xi of ``noise.sample_block``, mapped to
-    lab components sum_r xi_r a_r through ``kernel.axes``.  The coloring
-    matmul may round a path differently in batches of another size, so the
-    oracle draws in the Monte Carlo estimator's blocks of ``_PATH_BLOCK``
-    paths.  A pre-assembled ``cov`` skips refactorization.
+    lab components sum_r xi_r a_r through ``kernel.axes``.  It draws in the
+    Monte Carlo estimator's blocks of ``_PATH_BLOCK`` paths, which bound the
+    memory; a path's draw does not depend on its block.  A pre-assembled
+    ``cov`` skips re-forming the spectra.
     """
     if cov is None:
         cov = assemble_covariance(kernel, grid)

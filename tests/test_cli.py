@@ -239,12 +239,13 @@ class TestMcValidate:
         # 2 epsilon x 2 spin cells over several path blocks: the covariance
         # is factorized once, each block is drawn once, and the ordered
         # product runs once per (block, epsilon).
-        calls = {"assemble_covariance": 0, "sample_block": 0, "ordered_exp_batch": 0}
+        # The blocks run on worker threads, so each call appends (atomic) rather than increments.
+        calls = {"assemble_covariance": [], "sample_block": [], "ordered_exp_batch": []}
         for name in calls:
             orig = getattr(fidelity, name)
 
             def counted(*args, _orig=orig, _name=name, **kwargs):
-                calls[_name] += 1
+                calls[_name].append(1)
                 return _orig(*args, **kwargs)
 
             monkeypatch.setattr(fidelity, name, counted)
@@ -256,7 +257,10 @@ class TestMcValidate:
         }
         run(validate_config(json.dumps(cfg)))
         blocks = math.ceil(4097 / fidelity._PATH_BLOCK)
-        assert calls == {"assemble_covariance": 1, "sample_block": blocks, "ordered_exp_batch": 2 * blocks}
+        assert blocks == 33  # 32 blocks of 128 paths and a last block of one
+        assert {k: len(v) for k, v in calls.items()} == {
+            "assemble_covariance": 1, "sample_block": blocks, "ordered_exp_batch": 2 * blocks,
+        }
         lines = (tmp_path / "out" / "mc.csv").read_text().splitlines()
         assert [tuple(line.split(",")[:2]) for line in lines[1:]] == [
             ("0.1", "0.5"), ("0.1", "1"), ("0.3", "0.5"), ("0.3", "1"),

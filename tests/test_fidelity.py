@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -259,10 +261,36 @@ class TestMonteCarloTable:
         monkeypatch.setattr(fidelity, "_PATH_BLOCK", 7)
         assert mc_fidelity_table(*args) == default
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_cells_do_not_depend_on_worker_count(self, paper_kernel, monkeypatch, workers):
+        # Four full blocks and a short last one, on 1, 2 or 3 threads, which
+        # switch every microsecond: the amplitudes go back in block order and
+        # no two threads share work arrays, so every estimate keeps its bits.
+        triad = drift_triad(TimeGrid(1.0, 24))
+        args = (triad, paper_kernel, self.EPSILONS, self.SPINS, 4 * fidelity._PATH_BLOCK + 7, 31)
+        monkeypatch.setattr(fidelity, "_WORKERS", 1)
+        serial = mc_fidelity_table(*args)
+        threads = set()
+        orig = fidelity.sample_block
+
+        def recorded(*a):
+            threads.add(threading.get_ident())
+            return orig(*a)
+
+        monkeypatch.setattr(fidelity, "sample_block", recorded)
+        monkeypatch.setattr(fidelity, "_WORKERS", workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert mc_fidelity_table(*args) == serial
+        finally:
+            sys.setswitchinterval(interval)
+        assert 1 <= len(threads) <= workers and threading.get_ident() not in threads
+
     def test_working_set_does_not_grow_with_count(self, paper_kernel):
-        # One block of paths is in flight at a time, so the traced peak is
-        # the covariance factor plus one block's arrays (about 17 MiB on a
-        # 512-step triad), whatever the path count.
+        # One block of paths per worker is in flight at a time, so the traced
+        # peak is the spectra plus each worker's block arrays, whatever the
+        # path count.
         triad = drift_triad(TimeGrid(1.0, 512))
         tracemalloc.start()
         try:

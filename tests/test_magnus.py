@@ -10,7 +10,6 @@ from spinctl.errors import NonConvergence, SingularCot, UnsupportedOrder
 from spinctl.magnus import (
     PurePath,
     TimeGrid,
-    bernoulli,
     magnus_iterate,
     magnus_term,
     n_of_m,
@@ -23,6 +22,21 @@ from spinctl.magnus import (
 from spinctl.quat import PureQuat, qexp, qexp_vec, qproduct
 
 from conftest import fourier_path, quat_tuple
+
+
+def bernoulli(j: int) -> Fraction:
+    """Bernoulli number B_j (B_1 = -1/2 convention) via the explicit double sum."""
+    if j < 0 or j > 20:
+        raise ValueError("bernoulli(j) supports 0 <= j <= 20")
+    total = Fraction(0)
+    for k in range(j + 1):
+        for el in range(k + 1):
+            term = Fraction(
+                (-1) ** el * math.factorial(k) * el**j,
+                math.factorial(el) * math.factorial(k - el) * (k + 1),
+            )
+            total += term
+    return total
 
 
 def half_exp(m_values, eps):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from mpmath import e1 as mp_e1, mp
 from scipy.integrate import quad
-from scipy.linalg import toeplitz
+from scipy.linalg import circulant, toeplitz
 
 from spinctl.errors import DomainError, NotPSD
 from spinctl.evolution import TriadPath
@@ -19,8 +19,6 @@ from spinctl.noise import (
     assemble_covariance,
     exp_integral_e1,
     sample_block,
-    _JITTERS,
-    _factor_term,
     _path_normals,
 )
 from spinctl.optimizer import OptimizationProblem, _Workspace
@@ -32,16 +30,26 @@ mp.dps = 30
 EULER_GAMMA = 0.5772156649015328606
 
 
-def dense_jitter_factor(col: np.ndarray) -> tuple[np.ndarray, float]:
-    """Reference for ``noise._factor_term``: each jitter rung adds jit * col[0] times a dense identity."""
-    block = toeplitz(col)
-    eye = np.eye(len(col))
-    for jit in _JITTERS:
-        try:
-            return np.linalg.cholesky(block + (jit * col[0]) * eye), jit * col[0]
-        except np.linalg.LinAlgError:
-            continue
-    raise NotPSD("jitter ladder exhausted", min_eigenvalue=float(np.linalg.eigvalsh(block)[0]))
+def dense_circulant(col: np.ndarray) -> np.ndarray:
+    """The sampler's embedding, densely: the symmetric circulant of length 2n - 2 whose first column starts with ``col``."""
+    return circulant(np.concatenate([col, col[-2:0:-1]]))
+
+
+class Tabulated(NoiseKernel):
+    """One-axis kernel given by its values on the lags j dt of one grid."""
+
+    axes = np.array([[1.0, 0.0, 0.0]])
+
+    def __init__(self, col, dt):
+        self.col, self.dt = col, dt
+
+    def lag_profiles(self, s):
+        return self.col[np.rint(np.asarray(s) / self.dt).astype(int)][None, :]
+
+
+def with_spectrum(lam: np.ndarray, grid: TimeGrid) -> Tabulated:
+    """Kernel whose minimal embedding on ``grid`` has the symmetric spectrum ``lam`` (length 2n - 2)."""
+    return Tabulated(np.fft.ifft(lam).real[: grid.n_nodes], grid.dt)
 
 
 class TestExpIntegral:
@@ -145,16 +153,17 @@ class TestAssembleCovariance:
             assert np.sum(eigs > 1e-9 * eigs[-1]) <= 1
 
     def test_factor_reproduces_matrix(self, paper_kernel):
+        # The circulant with eigenvalues m factor^2 has the Toeplitz grid
+        # covariance as its leading block (dense inverse DFT as the oracle).
         grid = TimeGrid(1.0, 48)
-        n = grid.n_nodes
+        n, m = grid.n_nodes, 2 * grid.n_nodes - 2
         cov = assemble_covariance(paper_kernel, grid)
-        assert cov.factor.shape == (len(cov.matrix) * n, n)
-        for r, col in enumerate(cov.matrix):
-            block = cov.factor[r * n : (r + 1) * n]
+        assert cov.factor.shape == (len(cov.matrix), m)
+        phase = 2.0 * math.pi * np.outer(np.arange(m), np.arange(m)) / m
+        for col, root in zip(cov.matrix, cov.factor):
+            first = np.cos(phase) @ (m * root**2) / m
             np.testing.assert_allclose(
-                block @ block.T,
-                toeplitz(col) + cov.jitter * np.eye(n),
-                atol=1e-10 * np.max(cov.matrix),
+                circulant(first)[:n, :n], toeplitz(col), atol=1e-12 * np.max(cov.matrix)
             )
 
     def test_not_psd_raises(self):
@@ -169,34 +178,54 @@ class TestAssembleCovariance:
         grid = TimeGrid(4.0, 32)
         with pytest.raises(NotPSD) as err:
             assemble_covariance(bad, grid)
-        assert err.value.min_eigenvalue < 0.0
-        # the diagnostic sees the Toeplitz block without the last rung's jitter
-        with pytest.raises(NotPSD) as want:
-            dense_jitter_factor(bad.lag_profiles(grid.dt * np.arange(grid.n_nodes))[0])
-        assert err.value.min_eigenvalue == want.value.min_eigenvalue
+        col = bad.lag_profiles(grid.dt * np.arange(grid.n_nodes))[0]
+        # the diagnostic is the embedding's smallest eigenvalue, which bounds
+        # the Toeplitz block's from below (the block is a principal submatrix)
+        want = np.linalg.eigvalsh(dense_circulant(col))[0]
+        assert err.value.min_eigenvalue == pytest.approx(want, rel=1e-10)
+        assert err.value.min_eigenvalue <= np.linalg.eigvalsh(toeplitz(col))[0] < 0.0
+
+    def test_rounding_level_negatives_are_clipped(self):
+        # One symmetric pair of eigenvalues set to -delta of the largest (1):
+        # clipped and reported as the jitter at 1e-13, refused at 1e-11.
+        grid = TimeGrid(1.0, 64)
+        m = 2 * grid.n_nodes - 2
+        k = np.minimum(np.arange(m), m - np.arange(m))
+        lam = 1.0 / (1.0 + k**2)
+        lam[k == 20] = -1e-13
+        cov = assemble_covariance(with_spectrum(lam, grid), grid)
+        assert cov.jitter == pytest.approx(1e-13, rel=1e-2)
+        assert np.array_equal(cov.factor[0] == 0.0, k == 20)
+        lam[k == 20] = -1e-11
+        with pytest.raises(NotPSD) as err:
+            assemble_covariance(with_spectrum(lam, grid), grid)
+        assert err.value.min_eigenvalue == pytest.approx(-1e-11, rel=1e-2)
 
     @pytest.mark.parametrize(
-        "kernel, n_steps, jitter",
-        [(OneOverF(8.0, 0.1, 20.0), 512, 0.0), (DiagonalConstant((0.5, 0.2, 0.1)), 256, 5e-13)],
+        "kernel, n_steps",
+        [(OneOverF(8.0, 0.1, 20.0), 512), (DiagonalConstant((0.5, 0.2, 0.1)), 256)],
         ids=["one_over_f", "diagonal_constant"],
     )
-    def test_in_place_jitter_matches_dense_identity(self, kernel, n_steps, jitter):
+    def test_spectrum_matches_dense_circulant(self, kernel, n_steps):
+        # m factor^2 are the eigenvalues of the dense embedding; neither
+        # kernel has a negative one beyond rounding, so nothing is clipped.
         grid = TimeGrid(1.0, n_steps)
-        jitters = []
-        for r, col in enumerate(kernel.lag_profiles(grid.dt * np.arange(grid.n_nodes))):
-            factor, jit = _factor_term(col, r)
-            want, want_jit = dense_jitter_factor(col)
-            assert jit == want_jit
-            assert factor.tobytes() == want.tobytes()
-            jitters.append(jit)
-        assert max(jitters) == jitter
+        cov = assemble_covariance(kernel, grid)
+        m = 2 * grid.n_nodes - 2
+        for col, root in zip(cov.matrix, cov.factor):
+            want = np.linalg.eigvalsh(dense_circulant(col))
+            np.testing.assert_allclose(np.sort(m * root**2), np.maximum(want, 0.0), atol=1e-12 * want[-1])
+        assert cov.jitter == 0.0
 
 
 class TestSamplePaths:
     def test_flagship_factors_without_jitter(self, paper_kernel):
+        # the 1/f profile is convex and decreasing: its minimal embedding has
+        # a strictly positive spectrum, so nothing is clipped
         cov = assemble_covariance(paper_kernel, TimeGrid(1.0, 512))
         assert cov.jitter == 0.0
-        assert cov.factor.shape == (513, 513)
+        assert cov.factor.shape == (1, 1024)
+        assert np.all(cov.factor > 0.0)
 
     def test_fixed_axis_noise_stays_on_axis(self, paper_kernel):
         paths = sample_paths(paper_kernel, TimeGrid(1.0, 16), 50, seed=3)
@@ -295,18 +324,51 @@ class TestSamplePaths:
 
     @pytest.mark.parametrize("start", [0, 4095])
     def test_sample_block_matches_fresh_generator_per_path(self, start):
-        # sample_block reuses one generator and resets its counter per path;
-        # every path must match a freshly built Philox at counter word 2 = p.
-        kernel = OneOverF(8.0, 0.1, 20.0, axis=(1.0 / 3.0, 2.0 / 3.0, -2.0 / 3.0))
+        # sample_block reuses one generator and resets its counter per pair;
+        # path p must match pair p // 2 drawn from a freshly built Philox at
+        # counter word 2 = p // 2 and transformed on its own, term by term.
+        kernel = DiagonalConstant((0.5, 0.2, 0.1))
         grid = TimeGrid(1.0, 64)
         cov = assemble_covariance(kernel, grid)
-        seed, count, n = 77, 5, grid.n_nodes
-        z = np.array([
-            np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, p, 0])).standard_normal(n)
-            for p in range(start, start + count)
-        ])
-        want = (z @ cov.factor.T)[:, None, :]
-        np.testing.assert_array_equal(sample_block(cov, seed, start, count), want)
+        seed, count, (terms, m) = 77, 5, cov.factor.shape
+        want = []
+        for p in range(start, start + count):
+            gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, p // 2, 0]))
+            z = gen.standard_normal(2 * terms * m).view(complex).reshape(terms, m)
+            y = np.array([np.fft.fft(root * row) for root, row in zip(cov.factor, z)])
+            want.append((y.imag if p % 2 else y.real)[:, : grid.n_nodes])
+        np.testing.assert_array_equal(sample_block(cov, seed, start, count), np.array(want))
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 128])
+    def test_path_does_not_depend_on_block(self, paper_kernel, block):
+        # blocks of any size, even or odd starts, against one draw of every path
+        cov = assemble_covariance(paper_kernel, TimeGrid(1.0, 512))
+        count = 300
+        whole = sample_block(cov, 9, 0, count)
+        parts = [sample_block(cov, 9, s, min(block, count - s)) for s in range(0, count, block)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [OneOverF(8.0, 0.1, 20.0, axis=(1.0 / 3.0, 2.0 / 3.0, -2.0 / 3.0)), DiagonalConstant((0.5, 0.2, 0.1))],
+        ids=["one_over_f", "diagonal_constant"],
+    )
+    def test_per_lag_sample_covariance_matches_kernel(self, kernel):
+        # Every lab-component pair E[x_i(a) x_j(a + lag)] = N_ij(lag dt),
+        # from the first node, the middle and up to the last one, where the
+        # circulant wraps; each within 4 standard errors of a Gaussian product.
+        # The two paths of a pair (real and imaginary part) are uncorrelated.
+        grid = TimeGrid(1.0, 64)
+        total = 40_000
+        paths = sample_paths(kernel, grid, total, seed=41)
+        var = np.diag(kernel.matrix(0.0))
+        for a, lag in [(0, 0), (0, 1), (0, 64), (20, 8), (30, 33), (63, 1), (10, 40)]:
+            emp = paths[:, :, a].T @ paths[:, :, a + lag] / total
+            want = kernel.matrix(lag * grid.dt)
+            se = np.sqrt((np.outer(var, var) + want**2) / total)
+            assert np.all(np.abs(emp - want) <= 4.0 * se), (a, lag)
+            cross = paths[0::2, :, a].T @ paths[1::2, :, a + lag] / (total // 2)
+            assert np.all(np.abs(cross) <= 4.0 * np.sqrt(np.outer(var, var) / (total // 2))), (a, lag)
 
 
 ORACLE_KERNELS = [
