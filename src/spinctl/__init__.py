@@ -12,7 +12,9 @@ cli         batch front end (JSON configs -> CSV/JSON artifacts)
 
 SciPy is imported inside the functions that use it, never at module level,
 so ``import spinctl`` loads numpy only and ``magnus-check`` never loads SciPy;
-so is the Monte Carlo thread pool, which no other kind starts.
+so is the Monte Carlo thread pool, which no other kind starts.  A solution's
+force-balance certificate is computed when first read, so ``mc-validate`` at
+lambda_inv = 0, which never reads it, loads ``scipy.special`` only.
 """
 
 __version__ = "0.1.0"

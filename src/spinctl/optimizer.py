@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -130,6 +131,9 @@ class ControlSolution:
     (static components), reconstructed from the cell-centered decision
     variables kept in ``deviation_cells``.  ``S_c`` is +inf at
     lambda_inv = 0, where the energy term carries an infinite weight.
+    ``el_residual`` is the force-balance certificate of ``deviation_cells``
+    (see the module's ``el_residual``); it is computed on first read and
+    kept, so a caller that never reads it builds no certificate grid.
     ``mu_final`` is the augmented-Lagrangian penalty weight mu the solver
     ran with (0 when no descent ran, as at lambda_inv = 0 or for a bare
     evaluation), and ``rounds`` records each of its multiplier rounds (empty
@@ -144,11 +148,15 @@ class ControlSolution:
     S: float
     S_c: float
     E_out: float
-    el_residual: float
     bc_error: float
     lambda_inv: float
+    _certify: Callable[[], float] = field(compare=False, repr=False)
     mu_final: float = 0.0
     rounds: tuple[SolveRound, ...] = ()
+
+    @property
+    def el_residual(self) -> float:
+        return self._certify()
 
 
 @dataclass(frozen=True)
@@ -407,19 +415,20 @@ class _Workspace:
         e_out = 0.5 * self.dt * float(np.sum(omega_cells * omega_cells))
         s_c = math.inf if lam_inv == 0.0 else s_val + e_out / lam_inv
         bc_error = float(np.linalg.norm(rmats[-1] - np.eye(3)))
+        own = cells.copy()
 
         return ControlSolution(
             triad=lab_triad,
             control=control,
             delta_omega=delta_omega,
             delta_omega_rot=PurePath(grid, x_nodes),
-            deviation_cells=cells.copy(),
+            deviation_cells=own,
             S=s_val,
             S_c=s_c,
             E_out=e_out,
-            el_residual=self.el_residual(cells, lam_inv),
             bc_error=bc_error,
             lambda_inv=lam_inv,
+            _certify=cache(lambda: self.el_residual(own, lam_inv)),
             mu_final=mu_final,
         )
 

@@ -210,8 +210,9 @@ class TestDriftBaseline:
 
     def test_cell_convolution_built_only_where_read(self, paper_kernel, paper_target, monkeypatch):
         # The cell convolution serves the objective and the lambda_inv > 0
-        # certificate only: the drift solve builds none, and evaluating a
-        # stiff point builds the certificate grid's alone.
+        # certificate only: the drift solve builds none, and a bare or
+        # refined evaluation of a stiff point builds the certificate grid's
+        # only when its certificate is read.
         built = []
         orig = LagConvolution.cells
 
@@ -222,9 +223,40 @@ class TestDriftBaseline:
         monkeypatch.setattr(LagConvolution, "cells", counted)
         solve(paper_problem(paper_kernel, paper_target, n_steps=512, lambda_inv=0.0))
         assert built == []
-        evaluate_deviation(paper_problem(paper_kernel, paper_target, n_steps=16, lambda_inv=10.0),
-                           np.zeros((16, 3)))
+        sol = evaluate_deviation(paper_problem(paper_kernel, paper_target, n_steps=16, lambda_inv=10.0),
+                                 np.zeros((16, 3)))
+        refined = refine_deviation(paper_problem(paper_kernel, paper_target, n_steps=8, lambda_inv=10.0),
+                                   np.zeros((8, 3)), 16)
+        assert built == []
+        residual = sol.el_residual
         assert built == [64]
+        assert sol.el_residual == residual and built == [64]
+        assert refined.el_residual == residual and built == [64, 64]
+
+    def test_certificate_reads_the_solutions_own_cells(self, paper_kernel, paper_target):
+        problem = paper_problem(paper_kernel, paper_target, n_steps=16, lambda_inv=10.0)
+        x = 0.3 * np.random.default_rng(3).normal(size=(16, 3))
+        expect = evaluate_deviation(problem, x.copy()).el_residual
+        sol = evaluate_deviation(problem, x)
+        x += 1.0
+        assert sol.el_residual == expect
+        assert el_residual(sol, problem) == expect
+
+    def test_solve_evaluates_one_certificate_per_round(self, paper_kernel, paper_target, monkeypatch):
+        calls = []
+        inner = _Workspace.el_residual
+
+        def counting(self, cells, lam_inv):
+            calls.append(1)
+            return inner(self, cells, lam_inv)
+
+        monkeypatch.setattr(_Workspace, "el_residual", counting)
+        sol = solve(paper_problem(paper_kernel, paper_target, n_steps=256, lambda_inv=1.0))
+        assert len(sol.rounds) >= 2
+        assert len(calls) == len(sol.rounds)
+        # the caller's read (as in cli._solution_record) is the last round's value
+        assert sol.el_residual == sol.rounds[-1].el_residual
+        assert len(calls) == len(sol.rounds)
 
 
 class TestSolveCertificates:

@@ -29,6 +29,14 @@ def fresh_modules(code: str, cwd: Path) -> set[str]:
     return set(json.loads(run.stdout.splitlines()[-1]))
 
 
+def cli_modules(config: dict, cwd: Path) -> set[str]:
+    """``sys.modules`` after one ``cli.main`` run of ``config`` in a new interpreter, writing to ``cwd/out``."""
+    (cwd / "cfg.json").write_text(json.dumps(config))
+    code = ("import os\nos.environ['SPINCTL_OUT'] = 'out'\nfrom spinctl import cli\n"
+            f"assert cli.main([{config['kind']!r}, 'cfg.json']) == 0")
+    return fresh_modules(code, cwd)
+
+
 class TestColdStart:
     def test_import_loads_every_layer_and_no_scipy_submodule(self, tmp_path):
         loaded = fresh_modules("import spinctl", tmp_path)
@@ -38,12 +46,21 @@ class TestColdStart:
     def test_magnus_check_loads_no_scipy_submodule(self, tmp_path):
         config = {"kind": "magnus-check", "tau": 1.0, "paths": 2, "epsilon": [0.1, 0.5],
                   "grid_steps": 200, "seed": 4}
-        (tmp_path / "cfg.json").write_text(json.dumps(config))
-        code = ("import os\nos.environ['SPINCTL_OUT'] = 'out'\nfrom spinctl import cli\n"
-                "assert cli.main(['magnus-check', 'cfg.json']) == 0")
-        loaded = fresh_modules(code, tmp_path)
+        loaded = cli_modules(config, tmp_path)
         assert (tmp_path / "out" / "magnus.csv").exists()
         assert loaded.isdisjoint(SCIPY_SUBMODULES)
+
+    def test_mc_validate_at_drift_loads_scipy_special_only(self, tmp_path):
+        # The drift baseline's certificate is never read, so neither its
+        # spline (scipy.interpolate) nor what that pulls in is loaded; the
+        # 1/f profile needs E1 from scipy.special.
+        config = {"kind": "mc-validate", "tau": 1.0, "lambda_inv": 0.0,
+                  "kernel": {"type": "one_over_f", "xi": 8.0, "gamma_lo": 0.1, "gamma_hi": 20.0},
+                  "target": {"axis": [1.0, 0.0, 1.0], "angle": 2.6, "winding": 1},
+                  "epsilon": [0.1], "two_s": [1], "grid_steps": 16, "mc_samples": 8, "seed": 11}
+        loaded = cli_modules(config, tmp_path)
+        assert (tmp_path / "out" / "mc.csv").exists()
+        assert loaded & set(SCIPY_SUBMODULES) == {"scipy.special"}
 
 
 def test_solve_calls_module_minimize_once_per_round(paper_kernel, paper_target, monkeypatch):
