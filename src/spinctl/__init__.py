@@ -31,6 +31,7 @@ from .errors import (  # noqa: F401
     NonConvergence,
     NotPSD,
     SingularCot,
+    SolveFailed,
     SpinctlError,
     UnsupportedOrder,
 )

@@ -13,12 +13,12 @@ Subcommands::
 SPINCTL_OUT overrides the output directory.  Outputs are deterministic for a
 fixed config and seed: CSV bodies are byte-identical across runs, and only
 ``report.json`` carries wall-clock information: its header, and the
-solver's per-round record (``rounds``) in each ``solve`` and ``sweep`` row,
-error rows included.
+solver's per-round record (``rounds``) in each ``solve`` and ``sweep`` row
+and each error row.
 
-Exit status: 0 ok, 1 config error, 2 solver failure (a failed solve or any
-failed sweep point, each named on stderr and recorded as an ``error`` row of
-``report.json``).
+Exit status: 0 ok, 1 config error, 2 solver failure (a failed solve, sweep
+point or ``mc-validate`` baseline, each named on stderr and recorded as an
+``error`` row of ``report.json``).
 """
 
 from __future__ import annotations
@@ -35,12 +35,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import BCUnreachable, ConfigError, NoDescent, SpinctlError
+from .errors import ConfigError, SolveFailed, SpinctlError
 from .evolution import TargetRotation
 from .fidelity import SpinNumber, fidelity_weak, mc_fidelity_table
 from .magnus import PurePath, TimeGrid, random_smooth_path, solve_m_ode_batch, time_ordered_exp
 from .noise import DiagonalConstant, NoiseKernel, OneOverF
 from .optimizer import (
+    ControlSolution,
     OptimizationProblem,
     check_ladder,
     refine_deviation,
@@ -319,7 +320,10 @@ def _problem(config: RunConfig, lam: float) -> OptimizationProblem:
 
 def _run_mc_validate(config: RunConfig, out: Path):
     lam = config.lambda_inv[-1]
-    sol = solve(_problem(config, lam))
+    try:
+        sol = solve(_problem(config, lam))
+    except SolveFailed as exc:
+        return [_failure_row(exc)], {}
     s_val = sol.S
     start = time.perf_counter()
     table = mc_fidelity_table(
@@ -330,7 +334,7 @@ def _run_mc_validate(config: RunConfig, out: Path):
     rows = [
         [
             eps, _spin_label(ts), s_val, est.analytic_prediction,
-            est.mean.real, est.mean.imag, est.std_error, est.samples, config.seed,
+            est.mean, 0.0, est.std_error, est.samples, config.seed,
         ]
         for eps, ests in zip(config.epsilon, table)
         for ts, est in zip(config.two_s, ests)
@@ -350,7 +354,7 @@ def _fidelity_columns(config: RunConfig) -> list[tuple[str, int, float]]:
     return [(f"F_s{_spin_label(ts)}_eps{_fmt(eps)}", ts, eps) for eps in config.epsilon for ts in config.two_s]
 
 
-def _solution_record(config: RunConfig, problem: OptimizationProblem, sol) -> dict:
+def _solution_record(config: RunConfig, sol: ControlSolution) -> dict:
     """Summary of one certified solution, as report.json and solution.json record it.
 
     With ``refine_steps`` the solution's own cells are re-evaluated at its
@@ -364,12 +368,10 @@ def _solution_record(config: RunConfig, problem: OptimizationProblem, sol) -> di
         "E_out": sol.E_out,
         "el_residual": sol.el_residual,
         "bc_error": sol.bc_error,
-        "mu_final": sol.mu_final,
     }
     s_report = sol.S
     if config.refine_steps:
-        problem = replace(problem, lambda_inv=sol.lambda_inv)
-        s_report = refine_deviation(problem, sol.deviation_cells, config.refine_steps).S
+        s_report = refine_deviation(_problem(config, sol.lambda_inv), sol.deviation_cells, config.refine_steps).S
         rec["refine_steps"] = config.refine_steps
         rec["S_refined"] = s_report
         rec["S_refine_delta"] = s_report - sol.S
@@ -384,14 +386,20 @@ def _round_rows(rounds) -> list[dict]:
     return [asdict(r) for r in rounds]
 
 
+def _failure_row(exc: SolveFailed) -> dict:
+    """The ``error`` row of a failed solve: its lambda_inv, message and rounds."""
+    last = exc.last_solution
+    return {"lambda_inv": last.lambda_inv, "error": str(exc), "rounds": _round_rows(last.rounds)}
+
+
 def _run_solve(config: RunConfig, out: Path):
     lam = config.lambda_inv[0]
     problem = _problem(config, lam)
     grid = problem.grid
     try:
         sol = solve(problem)
-    except (BCUnreachable, NoDescent) as exc:
-        return [{"lambda_inv": lam, "error": str(exc), "rounds": _round_rows(exc.last_solution.rounds)}], {}
+    except SolveFailed as exc:
+        return [_failure_row(exc)], {}
     t = grid.nodes
     lab = sol.control.omega_lab.values
     dom = sol.delta_omega.values
@@ -404,7 +412,7 @@ def _run_solve(config: RunConfig, out: Path):
         ["t", "omega_x", "omega_y", "omega_z", "d_omega_x", "d_omega_y", "d_omega_z"],
         rows,
     )
-    record = _solution_record(config, problem, sol)
+    record = _solution_record(config, sol)
     archive = {
         "problem": _echo_problem(config, lam),
         "summary": record,
@@ -436,19 +444,16 @@ def _run_sweep(config: RunConfig, out: Path):
     rows = []
     report_rows = []
     deltas = {}
-    for point in sweep_lambda(problem, config.lambda_inv):
-        if point.solution is None:
-            report_rows.append(
-                {"lambda_inv": point.lambda_inv, "error": point.error, "rounds": _round_rows(point.rounds)}
-            )
+    for sol in sweep_lambda(problem, config.lambda_inv):
+        if isinstance(sol, SolveFailed):
+            report_rows.append(_failure_row(sol))
             continue
-        sol = point.solution
-        rec = _solution_record(config, problem, sol)
+        rec = _solution_record(config, sol)
         delta = rec.get("S_refine_delta", 0.0)
-        rows.append([point.lambda_inv, config.grid_steps, sol.S, sol.E_out, rec.get("S_refined", sol.S), delta]
+        rows.append([sol.lambda_inv, config.grid_steps, sol.S, sol.E_out, rec.get("S_refined", sol.S), delta]
                     + list(rec["fidelities"].values()))
-        report_rows.append({**rec, "rounds": _round_rows(point.rounds)})
-        deltas[f"lambda_inv={point.lambda_inv:g}"] = delta
+        report_rows.append({**rec, "rounds": _round_rows(sol.rounds)})
+        deltas[f"lambda_inv={sol.lambda_inv:g}"] = delta
     _write_csv(out / "sweep.csv", header, rows)
     return report_rows, deltas
 

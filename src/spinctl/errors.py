@@ -55,20 +55,20 @@ class AxisRequired(SpinctlError):
     """Target has zero rotation angle but nonzero winding: axis is needed."""
 
 
-class NoDescent(SpinctlError):
+class SolveFailed(SpinctlError):
+    """A solve ended without a certified solution; ``last_solution`` is its last iterate."""
+
+    def __init__(self, message, last_solution=None):
+        super().__init__(message)
+        self.last_solution = last_solution
+
+
+class NoDescent(SolveFailed):
     """The descent loop stalled before reaching the optimality tolerance."""
 
-    def __init__(self, message, last_solution=None):
-        super().__init__(message)
-        self.last_solution = last_solution
 
-
-class BCUnreachable(SpinctlError):
+class BCUnreachable(SolveFailed):
     """Multiplier rounds stopped closing the loop before the boundary triads were met."""
-
-    def __init__(self, message, last_solution=None):
-        super().__init__(message)
-        self.last_solution = last_solution
 
 
 class ConfigError(SpinctlError):

@@ -79,10 +79,11 @@ class TriadPath:
         c = cross3(self.values[:, 0, :], self.values[:, 1, :])
         return float(np.max(np.abs(c - self.values[:, 2, :])))
 
-    def validate(self, tol: float = 1e-9) -> None:
-        if self.orthonormality_defect() > tol:
+    def validate(self) -> None:
+        """Raise ValueError unless the triad is orthonormal and right-handed to within 1e-9."""
+        if self.orthonormality_defect() > 1e-9:
             raise ValueError("triad is not orthonormal within tolerance")
-        if self.handedness_defect() > tol:
+        if self.handedness_defect() > 1e-9:
             raise ValueError("triad is not right-handed within tolerance")
 
 

@@ -68,16 +68,15 @@ class SpinNumber:
 
 @dataclass(frozen=True)
 class FidelityEstimate:
-    """Monte Carlo fidelity: complex mean, standard error, analytic prediction.
+    """Monte Carlo fidelity: mean, standard error, analytic prediction.
 
     ``jitter`` is the largest negative spectral value, relative to its
     term's largest, clipped from the circulant embedding the noise paths
     were drawn from (``noise.CovarianceOperator.jitter``); 0 for 1/f noise.
     """
 
-    mean: complex
+    mean: float
     std_error: float
-    imag_std_error: float
     samples: int
     analytic_prediction: float
     jitter: float
@@ -85,8 +84,8 @@ class FidelityEstimate:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.std_error < 0.0 or self.imag_std_error < 0.0 or self.jitter < 0.0:
-            raise ValueError("standard errors and jitter must be >= 0")
+        if self.std_error < 0.0 or self.jitter < 0.0:
+            raise ValueError("standard error and jitter must be >= 0")
 
 
 def action_S(triad: TriadPath, kernel: NoiseKernel) -> float:
@@ -131,13 +130,9 @@ def _spin_lift(theta, spin: SpinNumber):
     return total / spin.multiplicity
 
 
-def amplitude_s(spin: SpinNumber, m_tau: float, epsilon) -> complex:
-    """Spin-s amplitude (2s+1)^-1 sum_j exp(-i j eps m(tau)).
-
-    The +-j terms pair into cosines, so the value is exactly real; it is
-    returned as a complex number to match the estimator's accumulation.
-    """
-    return complex(_spin_lift(float(epsilon) * m_tau, spin), 0.0)
+def amplitude_s(spin: SpinNumber, m_tau: float, epsilon) -> float:
+    """Spin-s amplitude (2s+1)^-1 sum_j exp(-i j eps m(tau)), exactly real (see ``_spin_lift``)."""
+    return float(_spin_lift(float(epsilon) * m_tau, spin))
 
 
 def chebyshev_U(j: int, x: float) -> float:
@@ -177,9 +172,8 @@ def _estimate(
     mean = math.fsum(vals) / count
     var = math.fsum((vals - mean) ** 2) / (count - 1)
     return FidelityEstimate(
-        mean=complex(mean, 0.0),
+        mean=mean,
         std_error=math.sqrt(var / count),
-        imag_std_error=0.0,
         samples=count,
         analytic_prediction=fidelity_weak(spin, eps, S),
         jitter=jitter,
@@ -219,8 +213,7 @@ def mc_fidelity_table(
     Returns
     -------
     list of list of FidelityEstimate
-        Indexed [epsilon][spin]: complex mean (the imaginary part is
-        identically zero for this estimator), standard errors, and the
+        Indexed [epsilon][spin]: sample mean, standard error, and the
         weak-noise prediction built from ``action_S``.
     """
     if count < 2:

@@ -479,17 +479,16 @@ def random_smooth_path(
     grid: TimeGrid,
     rng: np.random.Generator,
     amplitude: float = 0.1,
-    harmonics: int = 3,
 ) -> PurePath:
     """Band-limited random field for consistency checks.
 
-    Each component is a sum of Fourier modes h = 1..harmonics on [0, tau]
+    Each component is a sum of Fourier modes h = 1, 2, 3 on [0, tau]
     with Gaussian coefficients of standard deviation amplitude / h^2, so the
     field is smooth enough for second-order product formulas to resolve.
     """
     t = grid.nodes / grid.tau
     vals = np.zeros((grid.n_nodes, 3))
-    for h in range(1, harmonics + 1):
+    for h in (1, 2, 3):
         a = rng.normal(0.0, amplitude / h**2, size=3)
         b = rng.normal(0.0, amplitude / h**2, size=3)
         phase = 2.0 * math.pi * h * t

@@ -30,7 +30,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import BCUnreachable, NoDescent
+from .errors import BCUnreachable, NoDescent, SolveFailed
 from .evolution import ControlPath, TargetRotation, TriadPath, drift_for_target
 from .magnus import PurePath, TimeGrid, _central_diff
 from .noise import LagConvolution, NoiseKernel
@@ -42,7 +42,6 @@ __all__ = [
     "OptimizationProblem",
     "ControlSolution",
     "SolveRound",
-    "SweepPoint",
     "el_residual",
     "evaluate_deviation",
     "refine_deviation",
@@ -134,10 +133,9 @@ class ControlSolution:
     ``el_residual`` is the force-balance certificate of ``deviation_cells``
     (see the module's ``el_residual``); it is computed on first read and
     kept, so a caller that never reads it builds no certificate grid.
-    ``mu_final`` is the augmented-Lagrangian penalty weight mu the solver
-    ran with (0 when no descent ran, as at lambda_inv = 0 or for a bare
-    evaluation), and ``rounds`` records each of its multiplier rounds (empty
-    then).
+    ``rounds`` records each multiplier round of the solve, all at the
+    penalty weight MU / tau (empty when no descent ran, as at lambda_inv = 0
+    or for a bare evaluation).
     """
 
     triad: TriadPath
@@ -151,22 +149,11 @@ class ControlSolution:
     bc_error: float
     lambda_inv: float
     _certify: Callable[[], float] = field(compare=False, repr=False)
-    mu_final: float = 0.0
     rounds: tuple[SolveRound, ...] = ()
 
     @property
     def el_residual(self) -> float:
         return self._certify()
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One ladder point: its solution or error, and the multiplier rounds of its solve."""
-
-    lambda_inv: float
-    solution: ControlSolution | None
-    error: str | None = None
-    rounds: tuple[SolveRound, ...] = ()
 
 
 def _resample_cells(cells: np.ndarray, grid: TimeGrid, t_dst: np.ndarray) -> np.ndarray:
@@ -188,11 +175,6 @@ def _coerce_cells(x: np.ndarray, grid: TimeGrid) -> np.ndarray:
     if x.shape == (grid.n_nodes, 3):
         return 0.5 * (x[:-1] + x[1:])
     raise ValueError(f"deviation must have shape ({grid.n_steps}, 3) or ({grid.n_nodes}, 3)")
-
-
-def _rotations(cells: np.ndarray, dt: float) -> np.ndarray:
-    """Rotation matrices R_k of the chain v_{k+1} = exp(-(dt/2) c_k) v_k, v_0 = 1."""
-    return quat_to_matrix(qprefix(qexp_vec(-0.5 * dt * cells)))
 
 
 # Certificate resolution multiplier: the force balance is checked on a grid
@@ -313,9 +295,9 @@ class _Workspace:
     def _chain(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Chain rotations R_k (n_nodes), half-step rotations R*_k and lab matrices A_k R*_k at the cells.
 
-        The chain steps exp(-(dt/2) c_k) and the half steps Rot(phi_k/2),
-        phi_k = -dt c_k, share one exponential and one matrix conversion;
-        R_k has the bits of ``_rotations(cells, dt)``.
+        R_k belongs to the chain v_{k+1} = exp(-(dt/2) c_k) v_k, v_0 = 1.
+        The chain steps and the half steps Rot(phi_k/2), phi_k = -dt c_k,
+        share one exponential and one matrix conversion.
         """
         m = len(cells)
         units = qexp_vec(np.concatenate([-0.5 * self.dt * cells, -0.25 * self.dt * cells]))
@@ -395,12 +377,11 @@ class _Workspace:
 
     # -- solution assembly ---------------------------------------------------
 
-    def evaluate(self, x: np.ndarray, lam_inv: float, mu_final: float = 0.0) -> ControlSolution:
-        problem = self.problem
-        grid = problem.grid
+    def evaluate(self, x: np.ndarray, lam_inv: float) -> ControlSolution:
+        grid = self.problem.grid
         cells = _coerce_cells(x, grid)
         x_nodes = self.nodes_from_cells(cells)
-        rmats = _rotations(cells, self.dt)
+        rmats = self._chain(cells)[0]
         lmats = self.amats @ rmats
         lab_triad = TriadPath(grid, np.swapaxes(lmats, 1, 2))
 
@@ -429,7 +410,6 @@ class _Workspace:
             bc_error=bc_error,
             lambda_inv=lam_inv,
             _certify=cache(lambda: self.el_residual(own, lam_inv)),
-            mu_final=mu_final,
         )
 
 
@@ -457,7 +437,7 @@ def refine_deviation(problem: OptimizationProblem, x: np.ndarray, n_steps: int) 
     return evaluate_deviation(replace(problem, grid=fine_grid), cells)
 
 
-def solve(problem: OptimizationProblem, warm_start: np.ndarray | None = None) -> ControlSolution:
+def solve(problem: OptimizationProblem) -> ControlSolution:
     """Minimize the constrained action at the problem's lambda_inv.
 
     lambda_inv = 0 short-circuits to the exact drift solution (zero
@@ -477,11 +457,11 @@ def solve(problem: OptimizationProblem, warm_start: np.ndarray | None = None) ->
         If the loop is closed but a round no longer lowers the stationarity
         residual (or after MAX_ROUNDS rounds).
 
-    Both exceptions carry the last iterate as ``last_solution``; it and the
-    returned solution record every round in ``rounds``.
+    Both are ``SolveFailed`` and carry the last iterate as
+    ``last_solution``; it and the returned solution record every round in
+    ``rounds``.
     """
-    ws = _Workspace(problem)
-    return _solve_in_workspace(ws, problem.lambda_inv, warm_start)
+    return _solve_in_workspace(_Workspace(problem), problem.lambda_inv)
 
 
 def minimize(*args, **kwargs):
@@ -490,14 +470,14 @@ def minimize(*args, **kwargs):
     return optimize.minimize(*args, **kwargs)
 
 
-def _solve_in_workspace(ws: _Workspace, lam_inv: float, warm_start=None) -> ControlSolution:
-    problem = ws.problem
-    tols = problem.tolerances
+def _solve_in_workspace(ws: _Workspace, lam_inv: float, warm: np.ndarray | None = None) -> ControlSolution:
+    """Solve at ``lam_inv``, descending from the cell values ``warm`` (zero if None)."""
+    tols = ws.problem.tolerances
     if lam_inv == 0.0:
         return ws.evaluate(np.zeros((ws.n - 1, 3)), 0.0)
 
-    x = np.zeros((ws.n - 1, 3)) if warm_start is None else _coerce_cells(warm_start, problem.grid).copy()
-    mu = MU / problem.tau
+    x = np.zeros((ws.n - 1, 3)) if warm is None else warm
+    mu = MU / ws.problem.tau
     y = np.zeros(3)
     best_bc = best_el = math.inf
     rounds = []
@@ -508,7 +488,7 @@ def _solve_in_workspace(ws: _Workspace, lam_inv: float, warm_start=None) -> Cont
             options={"maxiter": 12_000, "ftol": FTOL, "gtol": 1e-10, "maxcor": 30},
         )
         x = res.x.reshape(ws.n - 1, 3)
-        sol = ws.evaluate(x, lam_inv, mu_final=mu)
+        sol = ws.evaluate(x, lam_inv)
         rounds.append(SolveRound(
             nit=int(res.nit), nfev=int(res.nfev), message=str(res.message),
             bc_error=sol.bc_error, el_residual=sol.el_residual, y_norm=float(np.linalg.norm(y)),
@@ -524,8 +504,7 @@ def _solve_in_workspace(ws: _Workspace, lam_inv: float, warm_start=None) -> Cont
             break
         best_bc = min(best_bc, sol.bc_error)
         best_el = min(best_el, sol.el_residual)
-        r_end = _rotations(x, ws.dt)[-1]
-        y = y + mu * _vee(r_end)
+        y = y + mu * _vee(ws._chain(x)[0][-1])
     message = res.message
     if bc_open:
         raise BCUnreachable(
@@ -540,24 +519,26 @@ def _solve_in_workspace(ws: _Workspace, lam_inv: float, warm_start=None) -> Cont
     )
 
 
-def sweep_lambda(problem: OptimizationProblem, ladder) -> tuple[SweepPoint, ...]:
+def sweep_lambda(problem: OptimizationProblem, ladder) -> tuple[ControlSolution | SolveFailed, ...]:
     """Solve at each lambda_inv of ``ladder``, warm-starting each point from the last.
 
     The ladder must start at 0 and increase strictly; ``problem.lambda_inv``
-    is not read.  Per-point failures are recorded as points, and the sweep
-    continues from the last successful iterate.
+    is not read.  Each point is its certified ``ControlSolution`` or the
+    ``SolveFailed`` that ended its solve (its ``last_solution`` holds the
+    point's lambda_inv and rounds); the sweep goes on from the last
+    certified point.
     """
     ladder = tuple(float(v) for v in ladder)
     check_ladder(ladder, "continuation")
     ws = _Workspace(problem)
-    points: list[SweepPoint] = []
+    points: list[ControlSolution | SolveFailed] = []
     warm = None
     for lam_inv in ladder:
         try:
-            sol = _solve_in_workspace(ws, lam_inv, warm_start=warm)
-        except (BCUnreachable, NoDescent) as exc:
-            points.append(SweepPoint(lam_inv, None, error=str(exc), rounds=exc.last_solution.rounds))
+            sol = _solve_in_workspace(ws, lam_inv, warm)
+        except SolveFailed as exc:
+            points.append(exc)
             continue
-        points.append(SweepPoint(lam_inv, sol, rounds=sol.rounds))
+        points.append(sol)
         warm = sol.deviation_cells
     return tuple(points)

@@ -412,8 +412,20 @@ class TestRoundRecord:
         assert main(["sweep", str(path)]) == 2
         drift, failed = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
         assert drift["rounds"] == []  # lambda_inv = 0 runs no descent
-        assert "error" in failed and failed["rounds"]
+        assert set(failed) == {"lambda_inv", "error", "rounds"} and failed["lambda_inv"] == 50.0
+        assert failed["rounds"]
         assert all(set(r) == ROUND_KEYS for r in failed["rounds"])
+
+    def test_failed_mc_baseline_is_an_error_row(self, tmp_path, monkeypatch, capsys):
+        # At n = 32 the lambda_inv = 10 optimum cannot certify, so no Monte Carlo runs.
+        monkeypatch.setenv("SPINCTL_OUT", str(tmp_path / "out"))
+        path = write_config(tmp_path, dict(SMALL_MC, lambda_inv=10.0, grid_steps=32, mc_samples=16))
+        assert main(["mc-validate", str(path)]) == 2
+        assert "solver failure at lambda_inv=10: " in capsys.readouterr().err
+        (row,) = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
+        assert set(row) == {"lambda_inv", "error", "rounds"} and row["lambda_inv"] == 10.0
+        assert row["rounds"] and all(set(r) == ROUND_KEYS for r in row["rounds"])
+        assert not (tmp_path / "out" / "mc.csv").exists()
 
 
 class TestMainEntry:

@@ -4,16 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinctl.errors import NoDescent
+from spinctl.errors import BCUnreachable, NoDescent, SolveFailed
 from spinctl.evolution import TargetRotation, omega_from_triad, propagate_triad
 from spinctl.fidelity import action_S
 from spinctl.magnus import PurePath, TimeGrid
-from spinctl.quat import qexp_vec, quat_to_matrix
+from spinctl.quat import qexp_vec, qprefix, quat_to_matrix
 from spinctl.noise import DiagonalConstant, LagConvolution, OneOverF
 from spinctl.optimizer import (
+    ControlSolution,
     OptimizationProblem,
     Tolerances,
-    _rotations,
     _vee,
     _Workspace,
     el_residual,
@@ -151,7 +151,7 @@ class TestGradient:
 def unbatched_objective(ws, xflat, lam_inv, mu, y):
     """The objective with one exponential and one Jacobian call per chain (the reference formula)."""
     cells = xflat.reshape(ws.n - 1, 3)
-    rmats = _rotations(cells, ws.dt)
+    rmats = quat_to_matrix(qprefix(qexp_vec(-0.5 * ws.dt * cells)))
     phi = -ws.dt * cells
     half_steps = quat_to_matrix(qexp_vec(-0.25 * ws.dt * cells))
     rstars = half_steps @ rmats[:-1]
@@ -187,6 +187,16 @@ class TestObjectiveBits:
         j_ref, grad_ref = unbatched_objective(ws, x, 10.0, 50.0, y)
         assert j_val == j_ref
         np.testing.assert_array_equal(grad, grad_ref)
+
+    @pytest.mark.parametrize("n_steps", [24, 2048])
+    def test_evaluation_takes_the_unbatched_chain(self, paper_kernel, paper_target, n_steps):
+        # evaluate reads R_k from the objective's stacked chain; it has the bits of the plain chain.
+        ws = _Workspace(paper_problem(paper_kernel, paper_target, n_steps=n_steps, lambda_inv=10.0))
+        cells = np.random.default_rng(18).normal(0.0, 2.0, (n_steps, 3))
+        rmats = quat_to_matrix(qprefix(qexp_vec(-0.5 * ws.dt * cells)))
+        sol = ws.evaluate(cells, 10.0)
+        np.testing.assert_array_equal(sol.triad.values, np.swapaxes(ws.amats @ rmats, 1, 2))
+        assert sol.bc_error == float(np.linalg.norm(rmats[-1] - np.eye(3)))
 
 
 class TestDriftBaseline:
@@ -317,6 +327,17 @@ class TestSolveCertificates:
         rounds = err.value.last_solution.rounds
         assert rounds and rounds[-1].el_residual == err.value.last_solution.el_residual
 
+    @pytest.mark.parametrize("tolerances, failure", [
+        (Tolerances(el_tol=1e-12), NoDescent),  # the certificate cannot reach 1e-12
+        (Tolerances(bc_tol=0.0), BCUnreachable),  # the loop never closes exactly
+    ])
+    def test_one_type_catches_every_failure(self, paper_kernel, paper_target, tolerances, failure):
+        problem = paper_problem(paper_kernel, paper_target, n_steps=16, lambda_inv=1.0, tolerances=tolerances)
+        with pytest.raises(SolveFailed) as err:
+            solve(problem)
+        assert type(err.value) is failure
+        assert err.value.last_solution.lambda_inv == 1.0 and err.value.last_solution.rounds
+
     def test_refine_consistency(self, solved_50):
         problem, sol = solved_50
         refined = refine_deviation(problem, sol.deviation_cells, 2048)
@@ -340,11 +361,19 @@ class TestSweep:
         problem = paper_problem(paper_kernel, paper_target, n_steps=128, lambda_inv=0.0)
         points = sweep_lambda(problem, (0.0,))
         assert len(points) == 1
-        sol = points[0].solution
+        sol = points[0]
         assert np.max(np.abs(sol.delta_omega_rot.values)) == 0.0
+
+    def test_failed_point_is_its_exception(self, paper_kernel, paper_target):
+        problem = paper_problem(paper_kernel, paper_target, n_steps=16, lambda_inv=0.0,
+                                tolerances=Tolerances(el_tol=1e-12))
+        drift, failed = sweep_lambda(problem, (0.0, 1.0))
+        assert isinstance(drift, ControlSolution) and drift.lambda_inv == 0.0
+        assert isinstance(failed, NoDescent)
+        assert failed.last_solution.lambda_inv == 1.0 and failed.last_solution.rounds
 
     def test_warm_matches_cold(self, paper_kernel, paper_target, solved_50):
         problem = paper_problem(paper_kernel, paper_target, n_steps=1024, lambda_inv=50.0)
-        warm = sweep_lambda(problem, (0.0, 50.0))[-1].solution
+        warm = sweep_lambda(problem, (0.0, 50.0))[-1]
         _, cold = solved_50
         assert warm.S == pytest.approx(cold.S, rel=1e-4)

@@ -1,5 +1,7 @@
-"""Package-level contracts: what ``import spinctl`` loads, and the names a tracer rebinds."""
+"""Package-level contracts: what ``import spinctl`` loads, the names a tracer rebinds and each module's names."""
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -10,6 +12,7 @@ import numpy as np
 
 import spinctl
 from spinctl import optimizer
+from spinctl.errors import SolveFailed
 from spinctl.magnus import TimeGrid
 from spinctl.optimizer import OptimizationProblem
 
@@ -84,3 +87,41 @@ def test_solve_calls_module_minimize_once_per_round(paper_kernel, paper_target, 
     assert [(r.nit, r.nfev, r.el_residual) for r in sol.rounds] == [
         (r.nit, r.nfev, r.el_residual) for r in expect.rounds
     ]
+
+
+class TestNames:
+    """Stdlib-only lint: a deletion must not leave a stale import or export behind."""
+
+    MODULES = sorted(Path(spinctl.__file__).parent.glob("*.py"))
+
+    def test_no_module_imports_a_name_it_never_uses(self):
+        # __init__ imports names to re-export them.
+        stale = []
+        for path in self.MODULES:
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text())
+            imported = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    for alias in node.names:
+                        imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    for alias in node.names:
+                        imported[alias.asname or alias.name] = node.lineno
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            used |= set(getattr(importlib.import_module(f"spinctl.{path.stem}"), "__all__", ()))
+            stale += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+        assert stale == []
+
+    def test_every_export_resolves(self):
+        missing = []
+        for path in self.MODULES:
+            module = importlib.import_module("spinctl" if path.stem == "__init__" else f"spinctl.{path.stem}")
+            exports = getattr(module, "__all__", ())
+            missing += [f"{module.__name__}.{name}" for name in exports if not hasattr(module, name)]
+        assert missing == []
+
+    def test_solve_failed_is_exported(self):
+        # The one type to catch for a failed solve (optimizer tests raise both of its kinds).
+        assert spinctl.SolveFailed is SolveFailed
