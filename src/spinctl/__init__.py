@@ -8,7 +8,8 @@ noise       stationary covariance kernels (1/f flagship), their lag convolution,
 evolution   rotating-triad kinematics, control recovery, targets, drift
 fidelity    closed-form fidelity for arbitrary spin + Monte Carlo estimator
 optimizer   constrained variational solver and lambda_inv continuation
-cli         batch front end (JSON configs -> CSV/JSON artifacts)
+cli         batch front end (JSON configs -> CSV/JSON artifacts); not imported
+            by the package, so ``python -m spinctl.cli`` runs it as a script
 
 SciPy is imported inside the functions that use it, never at module level,
 so ``import spinctl`` loads numpy only and ``magnus-check`` never loads SciPy;
@@ -19,7 +20,7 @@ lambda_inv = 0, which never reads it, loads ``scipy.special`` only.
 
 __version__ = "0.1.0"
 
-from . import cli, evolution, fidelity, magnus, noise, optimizer, quat  # noqa: F401
+from . import evolution, fidelity, magnus, noise, optimizer, quat  # noqa: F401
 from .errors import (  # noqa: F401
     AmbiguousAxis,
     AxisRequired,

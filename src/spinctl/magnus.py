@@ -8,8 +8,10 @@ rotation vector m(t).  This module provides:
   reduction (still the oracle discretization everything else is checked
   against),
 * ``solve_m_ode``      -- the exact first-order ODE for m(t), an all-orders
-  resummation of the perturbative (Magnus-type) series; ``solve_m_ode_batch``
-  steps many (path, eps) lanes of it together,
+  resummation of the perturbative (Magnus-type) series, stepped in floats;
+  ``solve_m_ode_batch`` steps many (path, eps) lanes of it together, with
+  the same bits, on ring rows (x, y, z, x, y) of lane arrays, so that a
+  cross product or any other vector operation is one numpy call,
 * ``magnus_term``      -- individual perturbative orders 0..2,
 * ``magnus_iterate``   -- fixed-point iteration of the exact equation.
 """
@@ -39,7 +41,7 @@ __all__ = [
     "random_smooth_path",
 ]
 
-# Half-width (in radians of eps*|m|) of the refusal band around the
+# Half-width (in radians of |eps|*|m|) of the refusal band around the
 # cotangent poles at nonzero multiples of 2*pi.
 COT_GUARD_BAND = 0.05
 
@@ -154,8 +156,13 @@ _H_SERIES = (
 _H_SERIES_CUT2 = 0.25  # switch on y^2
 
 
-def _h_series(y2):
-    return _H_SERIES[0] + y2 * (_H_SERIES[1] + y2 * (_H_SERIES[2] + y2 * (_H_SERIES[3] + y2 * _H_SERIES[4])))
+# The same coefficients as 0-d arrays: a numpy call takes an array operand
+# faster than a Python float, with the same bits.
+_H_SERIES_0D = tuple(np.array(c) for c in _H_SERIES)
+
+
+def _h_series(y2, c=_H_SERIES):
+    return c[0] + y2 * (c[1] + y2 * (c[2] + y2 * (c[3] + y2 * c[4])))
 
 
 def _h_of_y2(y2: float) -> float:
@@ -173,9 +180,9 @@ def _h_of_y2_lanes(y2: np.ndarray) -> np.ndarray:
     scalar tangent branch one by one, because ``np.tan`` and ``math.tan``
     differ in the last bit.
     """
-    h = _h_series(y2)
-    far = y2 >= _H_SERIES_CUT2
-    if np.count_nonzero(far):
+    h = _h_series(y2, _H_SERIES_0D)
+    if y2.max(initial=0.0) >= _H_SERIES_CUT2:
+        far = y2 >= _H_SERIES_CUT2
         h[far] = [_h_of_y2(v) for v in y2[far].tolist()]
     return h
 
@@ -186,7 +193,7 @@ def _check_cot_guard(y: float, t: float, lane=None):
         if k >= 1 and abs(y - 2.0 * math.pi * k) < COT_GUARD_BAND:
             where = "" if lane is None else f" in lane (path {lane[0]}, eps {lane[1]:g})"
             raise SingularCot(
-                f"eps*|m| = {y:.6f} entered the guard band around 2*pi*{k}{where} near t = {t:.6g}; "
+                f"|eps|*|m| = {y:.6f} entered the guard band around 2*pi*{k}{where} near t = {t:.6g}; "
                 "refine the grid or reduce epsilon",
                 t_cross=t,
                 lane=lane,
@@ -213,18 +220,18 @@ def _interval_midpoints(v: np.ndarray, lo: int = 0, hi: int | None = None) -> np
     return mids
 
 
-def _m_rhs(nx, ny, nz, mx, my, mz, half_eps, eps2, h_of_y2):
+def _m_rhs(nx, ny, nz, mx, my, mz, half_eps, eps2):
     """Right-hand side n - (eps/2) m x n + eps^2 h(eps |m|) m x (m x n) of the rotation-vector equation.
 
-    The components, ``half_eps`` = eps/2 and ``eps2`` = eps^2 are floats for
-    one lane, or same-shape arrays for lanes (or nodes) evaluated together,
-    and ``h_of_y2`` takes the same type.  Returns the (x, y, z) components.
+    One lane in floats, with ``half_eps`` = eps/2 and ``eps2`` = eps^2;
+    returns the (x, y, z) components.  ``_ring_rhs`` is the same arithmetic
+    on arrays.
     """
     cx = my * nz - mz * ny
     cy = mz * nx - mx * nz
     cz = mx * ny - my * nx
     m2 = mx * mx + my * my + mz * mz
-    h = h_of_y2(eps2 * m2)
+    h = _h_of_y2(eps2 * m2)
     mdotn = mx * nx + my * ny + mz * nz
     # m x (m x n) = m (m.n) - n |m|^2
     f = eps2 * h
@@ -235,19 +242,17 @@ def _m_rhs(nx, ny, nz, mx, my, mz, half_eps, eps2, h_of_y2):
     )
 
 
-def _rk4_m(steps, eps, dt: float, h_of_y2):
-    """Classic RK4 for the rotation-vector equation from m(0) = 0; yields m after each step.
+def _rk4_m(values: np.ndarray, eps: float, dt: float):
+    """Classic RK4 for the rotation-vector equation of one path from m(0) = 0; yields m after each step.
 
-    ``steps`` yields the field at the start, midpoint and end of each step as
-    three (x, y, z) triples.  The components and ``eps`` are floats for one
-    lane, or same-shape arrays for lanes stepped together, and ``h_of_y2``
-    takes the same type.  Every lane sees the same arithmetic in the same
-    order, so a lane stepped in a batch has the bits of its one-lane run.
+    The field is taken at the start, cubic midpoint and end of each step.
     """
-    coef = (0.5 * eps, eps * eps, h_of_y2)
+    coef = (0.5 * eps, eps * eps)
     mx = my = mz = 0.0
     h2 = 0.5 * dt
     h6 = dt / 6.0
+    pts = values.tolist()
+    steps = zip(pts, _interval_midpoints(values).tolist(), pts[1:])
     for (n0x, n0y, n0z), (nmx, nmy, nmz), (n1x, n1y, n1z) in steps:
         k1 = _m_rhs(n0x, n0y, n0z, mx, my, mz, *coef)
         k2 = _m_rhs(nmx, nmy, nmz, mx + h2 * k1[0], my + h2 * k1[1], mz + h2 * k1[2], *coef)
@@ -257,12 +262,6 @@ def _rk4_m(steps, eps, dt: float, h_of_y2):
         my = my + h6 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
         mz = mz + h6 * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
         yield mx, my, mz
-
-
-def _float_steps(values: np.ndarray):
-    """Field at the start, midpoint and end of each step of one path, as floats."""
-    pts = values.tolist()
-    return zip(pts, _interval_midpoints(values).tolist(), pts[1:])
 
 
 def solve_m_ode(n: PurePath, epsilon) -> PurePath:
@@ -276,33 +275,78 @@ def solve_m_ode(n: PurePath, epsilon) -> PurePath:
     Raises
     ------
     SingularCot
-        When eps*|m| approaches a nonzero multiple of 2*pi, where the
+        When |eps|*|m| approaches a nonzero multiple of 2*pi, where the
         right-hand side has a cotangent pole and exp((eps/2) m) = -1 makes
         the continuation ambiguous.
     """
     eps = float(epsilon)
     out = [(0.0, 0.0, 0.0)]
-    run = _rk4_m(_float_steps(n.values), eps, n.grid.dt, _h_of_y2)
-    for t, m in zip(n.grid.nodes[1:].tolist(), run):
+    for t, m in zip(n.grid.nodes[1:].tolist(), _rk4_m(n.values, eps, n.grid.dt)):
         mx, my, mz = m
-        _check_cot_guard(eps * math.sqrt(mx * mx + my * my + mz * mz), t)
+        _check_cot_guard(abs(eps) * math.sqrt(mx * mx + my * my + mz * mz), t)
         out.append(m)
     return PurePath(n.grid, out)
 
 
-_CHUNK_STEPS = 256  # steps whose field samples are expanded to lane shape at once
+# Array lanes hold vectors as ring rows (x, y, z, x, y) on axis 0, so that
+# m x n is m[1:4] * n[2:5] - m[2:5] * n[1:4] and every vector operation is
+# one numpy call over all components.
 
 
-def _array_steps(v: np.ndarray, n_eps: int):
-    """Per-step field triples of (n_nodes, 3, paths) samples, as (3, paths * n_eps) lane arrays."""
+def _ring(a: np.ndarray) -> np.ndarray:
+    """Ring rows of the component rows (x, y, z) on axis 0 of ``a``."""
+    return np.concatenate((a, a[:2]))
+
+
+def _ring_m2(m: np.ndarray) -> np.ndarray:
+    """|m|^2 of ring rows, summed as mx*mx + my*my + mz*mz."""
+    sq = m[:3] * m[:3]
+    m2 = sq[0] + sq[1]
+    m2 += sq[2]
+    return m2
+
+
+def _ring_rhs(n: np.ndarray, m: np.ndarray, half_eps, eps2, m2=None) -> np.ndarray:
+    """``_m_rhs`` of ring rows ``n`` and ``m``; returns ring rows.
+
+    ``half_eps`` broadcasts against three rows, ``eps2`` against ``m2``,
+    which may pass ``_ring_m2(m)`` already formed.  Each entry sees the
+    products, sums and Horner order of ``_m_rhs`` (two operands give the
+    same bits in either order), so it has the bits of its float lane.
+    """
+    if m2 is None:
+        m2 = _ring_m2(m)
+    c = m[1:4] * n[2:5]
+    c -= m[2:5] * n[1:4]  # m x n
+    p = m[:3] * n[:3]
+    mdotn = p[0] + p[1]
+    mdotn += p[2]
+    f = _h_of_y2_lanes(eps2 * m2)
+    f *= eps2
+    c *= half_eps
+    np.subtract(n[:3], c, out=c)
+    d = m[:3] * mdotn
+    d -= n[:3] * m2
+    d *= f
+    c += d
+    return _ring(c)
+
+
+_CHUNK_STEPS = 128  # steps whose field samples are expanded to lane rings at once
+
+
+def _ring_steps(v: np.ndarray, n_eps: int):
+    """Per-step field at start, midpoint and end of (n_nodes, 3, paths) samples, as (5, paths * n_eps) rings."""
     n_steps, n_paths = v.shape[0] - 1, v.shape[2]
     for lo in range(0, n_steps, _CHUNK_STEPS):
         hi = min(lo + _CHUNK_STEPS, n_steps)
-        nodes = np.empty((hi - lo + 1, 3, n_paths, n_eps))
-        nodes[...] = v[lo : hi + 1, :, :, None]
-        mids = np.empty((hi - lo, 3, n_paths, n_eps))
-        mids[...] = _interval_midpoints(v, lo, hi)[..., None]
-        nodes, mids = nodes.reshape(hi - lo + 1, 3, -1), mids.reshape(hi - lo, 3, -1)
+        nodes = np.empty((hi - lo + 1, 5, n_paths, n_eps))
+        nodes[:, :3] = v[lo : hi + 1, :, :, None]
+        mids = np.empty((hi - lo, 5, n_paths, n_eps))
+        mids[:, :3] = _interval_midpoints(v, lo, hi)[..., None]
+        for a in (nodes, mids):
+            a[:, 3:] = a[:, :2]
+        nodes, mids = nodes.reshape(hi - lo + 1, 5, -1), mids.reshape(hi - lo, 5, -1)
         for j in range(hi - lo):
             yield nodes[j], mids[j], nodes[j + 1]
 
@@ -311,11 +355,12 @@ def solve_m_ode_batch(values: np.ndarray, epsilons, grid: TimeGrid) -> np.ndarra
     """m(tau) of ``solve_m_ode`` for every (path, eps) lane, all stepped together.
 
     ``values`` has shape (paths, grid.n_nodes, 3), as for
-    ``ordered_exp_batch``; returns shape (paths, len(epsilons), 3).  Every
-    step of the one RK4 body advances all lanes as component arrays over
-    the lanes, and lane (p, e) has the bits of
+    ``ordered_exp_batch``; returns shape (paths, len(epsilons), 3).  The
+    lanes are columns of ring rows (``_ring_rhs``), so each vector
+    operation of the RK4 step is one numpy call over all components and
+    lanes, and lane (p, e) has the bits of
     ``solve_m_ode(path p, epsilons[e]).values[-1]``.  The field is expanded
-    to lane shape one chunk of steps at a time, so the working set beyond
+    to lane rings one chunk of steps at a time, so the working set beyond
     ``values`` is O(chunk * lanes).
 
     Raises
@@ -332,15 +377,24 @@ def solve_m_ode_batch(values: np.ndarray, epsilons, grid: TimeGrid) -> np.ndarra
     eps = [float(e) for e in epsilons]
     lanes = [(p, e) for p in range(len(values)) for e in eps]  # row order
     lane_eps = np.array([e for _, e in lanes])
-    v = values.transpose(1, 2, 0)  # (n_nodes, 3, paths) view
-    run = _rk4_m(_array_steps(v, len(eps)), lane_eps, grid.dt, _h_of_y2_lanes)
-    for t, (mx, my, mz) in zip(grid.nodes[1:].tolist(), run):
-        y = lane_eps * np.sqrt(mx * mx + my * my + mz * mz)
-        hot = y > math.pi
-        if np.count_nonzero(hot):
-            for i in np.flatnonzero(hot):
+    half_eps, eps2, abs_eps = np.tile(0.5 * lane_eps, (3, 1)), lane_eps * lane_eps, np.abs(lane_eps)
+    # 0-d arrays for the step constants too, as in _H_SERIES_0D
+    h2, h6, dt, two = (np.array(c) for c in (0.5 * grid.dt, grid.dt / 6.0, grid.dt, 2.0))
+    m = np.zeros((5, len(lanes)))
+    m2 = np.zeros(len(lanes))  # _ring_m2(m), shared by the guard and the next k1
+    steps = _ring_steps(values.transpose(1, 2, 0), len(eps))
+    for t, (n0, nh, n1) in zip(grid.nodes[1:].tolist(), steps):
+        k1 = _ring_rhs(n0, m, half_eps, eps2, m2)
+        k2 = _ring_rhs(nh, m + h2 * k1, half_eps, eps2)
+        k3 = _ring_rhs(nh, m + h2 * k2, half_eps, eps2)
+        k4 = _ring_rhs(n1, m + dt * k3, half_eps, eps2)
+        m = m + h6 * (k1 + two * (k2 + k3) + k4)
+        m2 = _ring_m2(m)
+        y = abs_eps * np.sqrt(m2)
+        if y.max(initial=0.0) > math.pi:
+            for i in np.flatnonzero(y > math.pi):
                 _check_cot_guard(float(y[i]), t, lanes[i])
-    return np.stack([mx, my, mz], axis=-1).reshape(len(values), len(eps), 3)
+    return m[:3].T.reshape(len(values), len(eps), 3)
 
 
 def _central_diff(v: np.ndarray, dt: float) -> np.ndarray:
@@ -453,13 +507,14 @@ def magnus_iterate(n: PurePath, epsilon, iterations: int) -> MagnusIterateResult
     v = n.values
     dt = n.grid.dt
 
+    v_ring = _ring(v.T)
     cur = cumulative_trapezoid(v, dx=dt, axis=0, initial=0)
     change = math.inf
     changes: list[float] = []
     grew = 0
     for _ in range(iterations):
-        rhs = _m_rhs(*v.T, *cur.T, 0.5 * eps, eps * eps, _h_of_y2_lanes)
-        nxt = cumulative_trapezoid(np.stack(rhs, axis=1), dx=dt, axis=0, initial=0)
+        rhs = _ring_rhs(v_ring, _ring(cur.T), 0.5 * eps, eps * eps)
+        nxt = cumulative_trapezoid(rhs[:3].T, dx=dt, axis=0, initial=0)
         change = float(np.max(np.sqrt(np.sum((nxt - cur) ** 2, axis=1))))
         if changes and change > changes[-1]:
             grew += 1

@@ -202,32 +202,42 @@ class TestSolveMOde:
         assert errs[0] / errs[1] > 3.0
 
     def test_cot_pole_refused(self):
-        # |m| grows linearly for a constant field; eps|m| crosses 2*pi
+        # |m| grows linearly for a constant field; |eps||m| crosses 2*pi for
+        # either sign of eps
         grid = TimeGrid(1.0, 2000)
         c = np.array([1.0, 0.0, 0.0])
         n = PurePath(grid, np.broadcast_to(c, (grid.n_nodes, 3)).copy())
-        with pytest.raises(SingularCot) as err:
-            solve_m_ode(n, 7.0)
-        assert err.value.t_cross == pytest.approx(2.0 * math.pi / 7.0, abs=0.02)
+        crossings = []
+        for eps in (7.0, -7.0):
+            with pytest.raises(SingularCot) as err:
+                solve_m_ode(n, eps)
+            crossings.append(err.value.t_cross)
+        assert crossings[0] == pytest.approx(2.0 * math.pi / 7.0, abs=0.02)
+        assert crossings[1] == crossings[0]
 
 
 class TestSolveMOdeBatch:
     def test_lanes_match_solve_m_ode_bit_for_bit(self):
         # tau = 20 lets eps*|m| pass 1/2, where h(y) leaves its series for the
-        # tangent branch; eps = 0 and the weak paths stay on the series.
-        grid = TimeGrid(20.0, 900)
-        rng = np.random.default_rng(31)
-        paths = [random_smooth_path(grid, rng, amplitude=a) for a in (0.02, 0.1, 0.2)]
-        epsilons = [0.0, 1.0, 4.0]
-        batch = solve_m_ode_batch(np.stack([p.values for p in paths]), epsilons, grid)
-        assert batch.shape == (3, 3, 3)
-        y2_max = []
-        for p, path in enumerate(paths):
-            for e, eps in enumerate(epsilons):
-                m = solve_m_ode(path, eps).values
-                assert np.array_equal(batch[p, e], m[-1]), (p, eps)
-                y2_max.append(eps * eps * np.max(np.sum(m * m, axis=1)))
-        assert min(y2_max) < magnus._H_SERIES_CUT2 < max(y2_max)
+        # tangent branch; eps = 0 and the weak paths stay on the series.  The
+        # field is expanded one chunk of steps at a time: 900 steps end inside
+        # a chunk, and the other grids end one step before, on and after the
+        # first chunk boundary.
+        chunk = magnus._CHUNK_STEPS
+        for n_steps in (900, chunk - 1, chunk, chunk + 1):
+            grid = TimeGrid(20.0, n_steps)
+            rng = np.random.default_rng(31)
+            paths = [random_smooth_path(grid, rng, amplitude=a) for a in (0.02, 0.1, 0.2)]
+            epsilons = [0.0, 1.0, 4.0]
+            batch = solve_m_ode_batch(np.stack([p.values for p in paths]), epsilons, grid)
+            assert batch.shape == (3, 3, 3)
+            y2_max = []
+            for p, path in enumerate(paths):
+                for e, eps in enumerate(epsilons):
+                    m = solve_m_ode(path, eps).values
+                    assert np.array_equal(batch[p, e], m[-1]), (p, eps)
+                    y2_max.append(eps * eps * np.max(np.sum(m * m, axis=1)))
+            assert min(y2_max) < magnus._H_SERIES_CUT2 < max(y2_max)
 
     def test_singular_cot_names_lane(self):
         # constant fields of strength 0.1, 1 and 1.2 along x: eps*|m| = eps*c*t
@@ -235,14 +245,18 @@ class TestSolveMOdeBatch:
         const = np.zeros((grid.n_nodes, 3))
         const[:, 0] = 1.0
         values = np.stack([0.1 * const, const, 1.2 * const])
-        with pytest.raises(SingularCot) as err:
-            solve_m_ode_batch(values, [0.5, 7.0], grid)
-        assert err.value.lane == (2, 7.0)
-        assert "path 2, eps 7" in str(err.value)
-        with pytest.raises(SingularCot) as alone:
-            solve_m_ode(PurePath(grid, values[2]), 7.0)
-        assert err.value.t_cross == alone.value.t_cross
-        assert err.value.t_cross == pytest.approx((2.0 * math.pi - 0.05) / 8.4, abs=2.0 * grid.dt)
+        crossings = []
+        for eps in (7.0, -7.0):  # the guard reads |eps|*|m|
+            with pytest.raises(SingularCot) as err:
+                solve_m_ode_batch(values, [0.5, eps], grid)
+            assert err.value.lane == (2, eps)
+            assert f"path 2, eps {eps:g}" in str(err.value)
+            with pytest.raises(SingularCot) as alone:
+                solve_m_ode(PurePath(grid, values[2]), eps)
+            assert err.value.t_cross == alone.value.t_cross
+            crossings.append(err.value.t_cross)
+        assert crossings[0] == pytest.approx((2.0 * math.pi - 0.05) / 8.4, abs=2.0 * grid.dt)
+        assert crossings[1] == crossings[0]
 
     @pytest.mark.parametrize("shape", [(2, 40, 3), (2, 42, 3), (41, 3), (2, 41, 2)])
     def test_wrong_shape_rejected(self, shape):

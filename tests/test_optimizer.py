@@ -344,6 +344,24 @@ class TestSolveCertificates:
         assert refined.S == pytest.approx(sol.S, rel=1e-3)
         assert refined.bc_error < 1e-4
 
+    def test_discretization_is_second_order(self, paper_kernel, paper_target):
+        # An unreachable el_tol stops each solve at its discrete optimum.
+        # Measured: el 3.6355e-3, 9.0875e-4, 2.2706e-4, 5.6685e-5 and S
+        # 2.1979292, 2.1960719, 2.1956075, 2.1954914 on n = 64 ... 512, so
+        # both errors fall fourfold per halving.  A higher-order
+        # transcription changes the expected order here.
+        el, S = [], []
+        for n_steps in (64, 128, 256, 512):
+            problem = paper_problem(paper_kernel, paper_target, n_steps=n_steps, lambda_inv=10.0,
+                                    tolerances=Tolerances(el_tol=1e-12))
+            with pytest.raises(NoDescent) as err:
+                solve(problem)
+            el.append(err.value.last_solution.el_residual)
+            S.append(err.value.last_solution.S)
+        el, dS = np.array(el), np.abs(np.diff(S))
+        orders = np.log2(np.concatenate([el[:-1] / el[1:], dS[:-1] / dS[1:]]))
+        assert np.all((1.9 <= orders) & (orders <= 2.1)), orders
+
 
 class TestSweep:
     @pytest.mark.parametrize("ladder", [(10.0, 20.0), (0.0, 10.0, 10.0), (0.0, 20.0, 10.0)])

@@ -21,13 +21,17 @@ LAYERS = ("quat", "magnus", "noise", "evolution", "fidelity", "optimizer", "cli"
 SCIPY_SUBMODULES = ("scipy.optimize", "scipy.interpolate", "scipy.linalg", "scipy.special")
 
 
+def child_env(**extra) -> dict:
+    """Environment of a new interpreter that imports this spinctl, with BLAS threads at 1."""
+    src = str(Path(spinctl.__file__).resolve().parents[1])
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))), **extra)
+
+
 def fresh_modules(code: str, cwd: Path) -> set[str]:
     """``sys.modules`` after running ``code`` in a new interpreter with BLAS threads at 1."""
-    src = str(Path(spinctl.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
-    run = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env, capture_output=True, text=True)
+    run = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=child_env(), capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     return set(json.loads(run.stdout.splitlines()[-1]))
 
@@ -42,9 +46,21 @@ def cli_modules(config: dict, cwd: Path) -> set[str]:
 
 class TestColdStart:
     def test_import_loads_every_layer_and_no_scipy_submodule(self, tmp_path):
+        # Every layer but the CLI, which ``python -m spinctl.cli`` must find
+        # unimported when it runs it as ``__main__``.
         loaded = fresh_modules("import spinctl", tmp_path)
-        assert {f"spinctl.{name}" for name in LAYERS} <= loaded
+        assert {f"spinctl.{name}" for name in LAYERS if name != "cli"} <= loaded
+        assert "spinctl.cli" not in loaded
         assert loaded.isdisjoint(SCIPY_SUBMODULES)
+
+    def test_module_form_runs_without_warning(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"kind": "magnus-check", "tau": 1.0, "paths": 1,
+                                                        "epsilon": [0.5], "grid_steps": 50, "seed": 4}))
+        run = subprocess.run([sys.executable, "-m", "spinctl.cli", "magnus-check", "cfg.json"],
+                             cwd=tmp_path, env=child_env(SPINCTL_OUT="out"), capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert "RuntimeWarning" not in run.stderr
+        assert (tmp_path / "out" / "magnus.csv").exists()
 
     def test_magnus_check_loads_no_scipy_submodule(self, tmp_path):
         config = {"kind": "magnus-check", "tau": 1.0, "paths": 2, "epsilon": [0.1, 0.5],
