@@ -7,7 +7,7 @@ magnus      ordered exponentials and their exact rotation-vector resummation
 noise       stationary covariance kernels (1/f flagship), their lag convolution, path sampling
 evolution   rotating-triad kinematics, control recovery, targets, drift
 fidelity    closed-form fidelity for arbitrary spin + Monte Carlo estimator
-optimizer   constrained variational solver and lambda_inv continuation
+optimizer   constrained variational solver and its lambda_inv sweep
 cli         batch front end (JSON configs -> CSV/JSON artifacts); not imported
             by the package, so ``python -m spinctl.cli`` runs it as a script
 

@@ -3,7 +3,7 @@
 Subcommands::
 
     spinctl solve <config.json>         one constrained optimization
-    spinctl sweep <config.json>         warm-started continuation in lambda_inv
+    spinctl sweep <config.json>         one solve per lambda_inv of a ladder
     spinctl mc-validate <config.json>   Monte Carlo vs analytic fidelity
     spinctl magnus-check <config.json>  ordered-exponential consistency table
     spinctl kernel-table <config.json>  kernel profile as CSV

@@ -50,7 +50,7 @@ class SpinNumber:
     two_s: int
 
     def __post_init__(self):
-        if int(self.two_s) != self.two_s or self.two_s < 1:
+        if not (1 <= self.two_s < math.inf and int(self.two_s) == self.two_s):
             raise ValueError("two_s must be an integer >= 1")
 
     @property

@@ -56,7 +56,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau > 0.0):
             raise ValueError(f"tau must be positive and finite, got {self.tau!r}")
-        if int(self.n_steps) != self.n_steps or self.n_steps < 2:
+        if not (2 <= self.n_steps < math.inf and int(self.n_steps) == self.n_steps):
             raise ValueError(f"n_steps must be an integer >= 2, got {self.n_steps!r}")
         object.__setattr__(self, "n_steps", int(self.n_steps))
 

@@ -445,16 +445,22 @@ def refine_deviation(problem: OptimizationProblem, x: np.ndarray, n_steps: int) 
     return evaluate_deviation(replace(problem, grid=fine_grid), cells)
 
 
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize`` on first use, under the module name the benchmark's tracer rebinds."""
+    from scipy import optimize
+    return optimize.minimize(*args, **kwargs)
+
+
 def solve(problem: OptimizationProblem) -> ControlSolution:
     """Minimize the constrained action at the problem's lambda_inv.
 
     lambda_inv = 0 short-circuits to the exact drift solution (zero
-    deviation).  Otherwise the method of multipliers runs at the fixed
-    penalty weight MU / tau: each round is one quasi-Newton descent on the
-    augmented Lagrangian, to a gtol tightening down to GTOL_FLOOR, then the
-    multiplier update y <- y + mu vee(R_N).  The solve returns as soon as the
-    terminal triad closes to ``bc_tol`` and the independent stationarity
-    residual passes ``el_tol``.
+    deviation).  Otherwise the method of multipliers runs from zero
+    deviation at the fixed penalty weight MU / tau: each round is one
+    quasi-Newton descent on the augmented Lagrangian, to a gtol tightening
+    down to GTOL_FLOOR, then the multiplier update y <- y + mu vee(R_N).
+    The solve returns as soon as the terminal triad closes to ``bc_tol``
+    and the independent stationarity residual passes ``el_tol``.
 
     Raises
     ------
@@ -469,23 +475,14 @@ def solve(problem: OptimizationProblem) -> ControlSolution:
     ``last_solution``; it and the returned solution record every round in
     ``rounds``.
     """
-    return _solve_in_workspace(_Workspace(problem), problem.lambda_inv)
-
-
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize`` on first use, under the module name the benchmark's tracer rebinds."""
-    from scipy import optimize
-    return optimize.minimize(*args, **kwargs)
-
-
-def _solve_in_workspace(ws: _Workspace, lam_inv: float, warm: np.ndarray | None = None) -> ControlSolution:
-    """Solve at ``lam_inv``, descending from the cell values ``warm`` (zero if None)."""
-    tols = ws.problem.tolerances
+    ws = _Workspace(problem)
+    lam_inv = problem.lambda_inv
+    tols = problem.tolerances
     if lam_inv == 0.0:
         return ws.evaluate(np.zeros((ws.n - 1, 3)), 0.0)
 
-    x = np.zeros((ws.n - 1, 3)) if warm is None else warm
-    mu = MU / ws.problem.tau
+    x = np.zeros((ws.n - 1, 3))
+    mu = MU / problem.tau
     y = np.zeros(3)
     best_bc = best_el = math.inf
     rounds = []
@@ -530,25 +527,20 @@ def _solve_in_workspace(ws: _Workspace, lam_inv: float, warm: np.ndarray | None 
 
 
 def sweep_lambda(problem: OptimizationProblem, ladder) -> tuple[ControlSolution | SolveFailed, ...]:
-    """Solve at each lambda_inv of ``ladder``, warm-starting each point from the last.
+    """``solve`` at each lambda_inv of ``ladder``, every point from a cold start.
 
     The ladder must start at 0 and increase strictly; ``problem.lambda_inv``
     is not read.  Each point is its certified ``ControlSolution`` or the
     ``SolveFailed`` that ended its solve (its ``last_solution`` holds the
-    point's lambda_inv and rounds); the sweep goes on from the last
-    certified point.
+    point's lambda_inv and rounds), so a point depends on its own
+    lambda_inv only.
     """
     ladder = tuple(float(v) for v in ladder)
     check_ladder(ladder, "continuation")
-    ws = _Workspace(problem)
     points: list[ControlSolution | SolveFailed] = []
-    warm = None
     for lam_inv in ladder:
         try:
-            sol = _solve_in_workspace(ws, lam_inv, warm)
+            points.append(solve(replace(problem, lambda_inv=lam_inv)))
         except SolveFailed as exc:
             points.append(exc)
-            continue
-        points.append(sol)
-        warm = sol.deviation_cells
     return tuple(points)

@@ -63,7 +63,7 @@ def _emit(num, verdict, detail):
 
 @pytest.fixture(scope="session")
 def paper_sweep(paper_kernel, paper_target):
-    """Warm-started continuation over the full ladder at n_steps = 512."""
+    """One solve per point of the full ladder at n_steps = 512, each from a cold start."""
     problem = OptimizationProblem(
         kernel=paper_kernel,
         target=paper_target,

@@ -59,6 +59,13 @@ class TestActionS:
             assert action_S(triad, paper_kernel) >= 0.0
 
 
+class TestSpinNumber:
+    @pytest.mark.parametrize("two_s", [0, 1.5, math.inf, math.nan])
+    def test_bad_two_s_rejected(self, two_s):
+        with pytest.raises(ValueError, match="^two_s must be an integer >= 1$"):
+            SpinNumber(two_s)
+
+
 class TestWeakNoiseFidelity:
     def test_perfect_at_zero_action(self):
         for two_s in (1, 2, 3, 50):

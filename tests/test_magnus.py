@@ -61,7 +61,7 @@ class TestTimeGrid:
         assert len(grid.nodes) == 513
         assert grid == TimeGrid(1.0, 512)
 
-    @pytest.mark.parametrize("n_steps", [1, 512.5])
+    @pytest.mark.parametrize("n_steps", [1, 512.5, math.inf, math.nan])
     def test_bad_step_count_rejected(self, n_steps):
         with pytest.raises(ValueError, match="n_steps must be an integer >= 2"):
             TimeGrid(1.0, n_steps)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -306,11 +307,14 @@ class TestSolveCertificates:
         problem, sol = solved_50
         assert sol.S_c == pytest.approx(sol.S + sol.E_out / sol.lambda_inv, rel=1e-12)
 
-    def test_benchmark_point_descends_in_few_iterations(self, paper_kernel, paper_target):
-        # lambda_inv = 10 at n = 512 from a cold start: with every round at
-        # the floor gtol this target took 443 objective evaluations, with the
-        # loose early rounds 365 (the CLI's axis-angle target: 471 and 353).
-        problem = paper_problem(paper_kernel, paper_target, n_steps=512, lambda_inv=10.0)
+    def test_benchmark_point_descends_in_few_iterations(self, paper_kernel):
+        # The benchmark solve: lambda_inv = 10 at n = 512 on the CLI's
+        # axis-angle target, from a cold start.  With every round at the floor
+        # gtol it took 471 objective evaluations, with the loose early rounds
+        # 353.  The drift-built target differs in the last bits and descends
+        # along another path (443 and 365).
+        target = TargetRotation.from_axis_angle((1, 0, 1), 2.0 * math.pi * (math.sqrt(2.0) - 1.0), 1)
+        problem = paper_problem(paper_kernel, target, n_steps=512, lambda_inv=10.0)
         sol = solve(problem)
         assert sol.el_residual <= problem.tolerances.el_tol
         assert sum(r.nfev for r in sol.rounds) < 420
@@ -440,8 +444,12 @@ class TestSweep:
         assert isinstance(failed, NoDescent)
         assert failed.last_solution.lambda_inv == 1.0 and failed.last_solution.rounds
 
-    def test_warm_matches_cold(self, paper_kernel, paper_target, solved_50):
-        problem = paper_problem(paper_kernel, paper_target, n_steps=1024, lambda_inv=50.0)
-        warm = sweep_lambda(problem, (0.0, 50.0))[-1]
-        _, cold = solved_50
-        assert warm.S == pytest.approx(cold.S, rel=1e-4)
+    def test_point_is_its_own_solve(self, paper_kernel, paper_target):
+        # A point started from its predecessor's cells ends at another S in
+        # the eighth digit (3.43470857 against 3.43470880 at lambda_inv = 2).
+        problem = paper_problem(paper_kernel, paper_target, n_steps=32, lambda_inv=0.0,
+                                tolerances=Tolerances(el_tol=0.1))
+        for point in sweep_lambda(problem, (0.0, 1.0, 2.0)):
+            alone = solve(replace(problem, lambda_inv=point.lambda_inv))
+            np.testing.assert_array_equal(point.deviation_cells, alone.deviation_cells)
+            assert (point.S, point.S_c) == (alone.S, alone.S_c)
