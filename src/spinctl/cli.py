@@ -100,7 +100,7 @@ class _Rule:
     type: type  # float (a finite number), int or str
     low: float | None = None  # lower bound, inclusive unless ``strict``
     strict: bool = False
-    bits: int | None = None  # the value must be < 2**bits; 128 for a Philox key
+    bits: int = 63  # an int must be < 2**bits in magnitude, as numpy sizes are; 128 for a Philox key
     shape: str = ""  # "" scalar, "list" non-empty list, "vec3" 3-element list
 
     def __call__(self, value, name: str):
@@ -117,8 +117,8 @@ class _Rule:
             raise ConfigError([f"{name} must be {_NOUNS[self.type]}"])
         if self.low is not None and (v <= self.low if self.strict else v < self.low):
             raise ConfigError([f"{name} must be {'>' if self.strict else '>='} {self.low:g}"])
-        if self.bits is not None and v >= 2**self.bits:
-            raise ConfigError([f"{name} must be < 2**{self.bits}"])
+        if self.type is int and abs(v) >= 2**self.bits:
+            raise ConfigError([f"{name} must be < 2**{self.bits} in magnitude"])
         return self.type(v)
 
 

@@ -70,6 +70,10 @@ GTOL_FACTOR = 100.0
 GTOL_FLOOR = 1e-10
 # Cap on multiplier rounds; a solve normally ends in three to five.
 MAX_ROUNDS = 20
+# Grid of the first rounds of a solve on >= 4 * COARSE_STEPS cells (grid
+# sequencing; Betts, Practical Methods for Optimal Control, 2nd ed., 4.7).
+# 64 cells leave lambda_inv = 30, n = 512 at el 1.5e-4, uncertified.
+COARSE_STEPS = 128
 
 
 @dataclass(frozen=True)
@@ -116,8 +120,10 @@ class SolveRound:
     """One augmented-Lagrangian round: its L-BFGS descent and the certificate after it.
 
     ``y_norm`` is |y| of the loop-defect multiplier the round descended
-    with; ``seconds`` is the wall time of the descent plus the evaluation.
-    Round k descends to gtol max(GTOL_FLOOR, GTOL_START / GTOL_FACTOR**k).
+    with; ``seconds`` is the wall time of the descent plus the evaluation;
+    ``grid_steps`` is the grid the round ran on (COARSE_STEPS for the first
+    rounds of a solve on at least 4 * COARSE_STEPS cells).  Round k descends
+    to gtol max(GTOL_FLOOR, GTOL_START / GTOL_FACTOR**k).
     """
 
     nit: int
@@ -127,6 +133,7 @@ class SolveRound:
     el_residual: float
     y_norm: float
     seconds: float
+    grid_steps: int
 
 
 @dataclass(frozen=True)
@@ -451,42 +458,23 @@ def minimize(*args, **kwargs):
     return optimize.minimize(*args, **kwargs)
 
 
-def solve(problem: OptimizationProblem) -> ControlSolution:
-    """Minimize the constrained action at the problem's lambda_inv.
+def _descend(
+    ws: _Workspace, x: np.ndarray, y: np.ndarray, first_round: int, rounds: tuple[SolveRound, ...] = ()
+) -> tuple[ControlSolution | SolveFailed, np.ndarray]:
+    """Multiplier rounds on ``ws``'s grid from cells ``x`` and multiplier ``y``.
 
-    lambda_inv = 0 short-circuits to the exact drift solution (zero
-    deviation).  Otherwise the method of multipliers runs from zero
-    deviation at the fixed penalty weight MU / tau: each round is one
-    quasi-Newton descent on the augmented Lagrangian, to a gtol tightening
-    down to GTOL_FLOOR, then the multiplier update y <- y + mu vee(R_N).
-    The solve returns as soon as the terminal triad closes to ``bc_tol``
-    and the independent stationarity residual passes ``el_tol``.
-
-    Raises
-    ------
-    BCUnreachable
-        If the loop is still open when a round at the floor tolerance no
-        longer lowers the boundary error (or after MAX_ROUNDS rounds).
-    NoDescent
-        If the loop is closed but a round at the floor tolerance no longer
-        lowers the stationarity residual (or after MAX_ROUNDS rounds).
-
-    Both are ``SolveFailed`` and carry the last iterate as
-    ``last_solution``; it and the returned solution record every round in
-    ``rounds``.
+    Round indices (and so gtol) start at ``first_round``; ``rounds`` are
+    earlier rounds that the outcome's record lists first.  Returns the
+    certified solution, or the ``SolveFailed`` that ended the rounds, with
+    the multiplier y where the rounds stopped.
     """
-    ws = _Workspace(problem)
+    problem = ws.problem
     lam_inv = problem.lambda_inv
     tols = problem.tolerances
-    if lam_inv == 0.0:
-        return ws.evaluate(np.zeros((ws.n - 1, 3)), 0.0)
-
-    x = np.zeros((ws.n - 1, 3))
     mu = MU / problem.tau
-    y = np.zeros(3)
     best_bc = best_el = math.inf
-    rounds = []
-    for k in range(MAX_ROUNDS):
+    rounds = list(rounds)
+    for k in range(first_round, MAX_ROUNDS):
         start = time.perf_counter()
         gtol = max(GTOL_FLOOR, GTOL_START / GTOL_FACTOR**k)
         res = minimize(
@@ -498,13 +486,13 @@ def solve(problem: OptimizationProblem) -> ControlSolution:
         rounds.append(SolveRound(
             nit=int(res.nit), nfev=int(res.nfev), message=str(res.message),
             bc_error=sol.bc_error, el_residual=sol.el_residual, y_norm=float(np.linalg.norm(y)),
-            seconds=time.perf_counter() - start,
+            seconds=time.perf_counter() - start, grid_steps=problem.grid.n_steps,
         ))
         sol = replace(sol, rounds=tuple(rounds))
         bc_open = sol.bc_error > tols.bc_tol
         el_open = sol.el_residual > tols.el_tol
         if not (bc_open or el_open):
-            return sol
+            return sol, y
         if gtol == GTOL_FLOOR:  # progress is judged between floor rounds only
             progress = (bc_open and sol.bc_error < best_bc) or (el_open and sol.el_residual < best_el)
             if not progress:
@@ -514,16 +502,64 @@ def solve(problem: OptimizationProblem) -> ControlSolution:
         y = y + mu * _vee(ws._chain(x)[0][-1])
     message = res.message
     if bc_open:
-        raise BCUnreachable(
+        return BCUnreachable(
             f"boundary error {sol.bc_error:.3e} (> bc_tol {tols.bc_tol:g}) after "
             f"multiplier rounds (message: {message})",
             last_solution=sol,
-        )
-    raise NoDescent(
+        ), y
+    return NoDescent(
         f"stationarity certificate stalled at {sol.el_residual:.3e} "
         f"(> el_tol {tols.el_tol:g}; descent message: {message})",
         last_solution=sol,
-    )
+    ), y
+
+
+def solve(problem: OptimizationProblem) -> ControlSolution:
+    """Minimize the constrained action at the problem's lambda_inv.
+
+    lambda_inv = 0 short-circuits to the exact drift solution (zero
+    deviation).  Otherwise the method of multipliers runs from zero
+    deviation at the fixed penalty weight MU / tau: each round is one
+    quasi-Newton descent on the augmented Lagrangian, to a gtol tightening
+    down to GTOL_FLOOR, then the multiplier update y <- y + mu vee(R_N).
+    The solve returns as soon as the terminal triad closes to ``bc_tol``
+    and the independent stationarity residual passes ``el_tol``.
+
+    A grid of at least 4 * COARSE_STEPS cells first runs the rounds on
+    COARSE_STEPS cells, where an evaluation is cheap; that run's last
+    iterate, certified or not, is resampled onto the problem grid and the
+    rounds continue there from round 1 with its multiplier.  Only the
+    problem grid's outcome counts.
+
+    Raises
+    ------
+    BCUnreachable
+        If the loop is still open when a round at the floor tolerance no
+        longer lowers the boundary error (or after MAX_ROUNDS rounds).
+    NoDescent
+        If the loop is closed but a round at the floor tolerance no longer
+        lowers the stationarity residual (or after MAX_ROUNDS rounds).
+
+    Both are ``SolveFailed`` and carry the last iterate as
+    ``last_solution``; it and the returned solution record every round,
+    on either grid, in ``rounds``.
+    """
+    ws = _Workspace(problem)
+    grid = problem.grid
+    if problem.lambda_inv == 0.0:
+        return ws.evaluate(np.zeros((grid.n_steps, 3)), 0.0)
+
+    x, y, first_round, rounds = np.zeros((grid.n_steps, 3)), np.zeros(3), 0, ()
+    if grid.n_steps >= 4 * COARSE_STEPS:
+        coarse = _Workspace(replace(problem, grid=TimeGrid(problem.tau, COARSE_STEPS)))
+        outcome, y = _descend(coarse, np.zeros((COARSE_STEPS, 3)), y, 0)
+        last = outcome.last_solution if isinstance(outcome, SolveFailed) else outcome
+        x = _resample_cells(last.deviation_cells, coarse.problem.grid, grid.centers)
+        first_round, rounds = 1, last.rounds
+    outcome, _ = _descend(ws, x, y, first_round, rounds)
+    if isinstance(outcome, SolveFailed):
+        raise outcome
+    return outcome
 
 
 def sweep_lambda(problem: OptimizationProblem, ladder) -> tuple[ControlSolution | SolveFailed, ...]:

@@ -113,6 +113,33 @@ class TestValidateConfig:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "cfg, argv",
+        [
+            (dict(SMALL_MC, grid_steps=10**400), []),
+            (dict(SMALL_MC, target=dict(PAPER_TARGET, winding=10**400)), []),
+            (dict(SMALL_MC, target=dict(PAPER_TARGET, winding=-(10**400))), []),
+            (dict(SMALL_MC, mc_samples=10**400), []),
+            (dict(SMALL_MC, two_s=[10**400]), []),
+            (dict(SMALL_MAGNUS, paths=10**400), []),
+            ({"kind": "kernel-table", "tau": 1.0, "kernel": PAPER_KERNEL, "table_points": 2**63}, []),
+            (dict(SMALL_SWEEP, refine_steps=10**400), []),
+            (SMALL_MAGNUS, ["--grid", str(10**400)]),
+        ],
+        ids=["grid_steps", "winding", "negative-winding", "mc_samples", "two_s", "paths",
+             "table_points", "refine_steps", "--grid"],
+    )
+    def test_integer_beyond_int64_is_one_config_error(self, tmp_path, monkeypatch, capsys, cfg, argv):
+        # Sizes, counts and windings become numpy sizes or floats, so every
+        # integer stops below 2**63 in magnitude.
+        monkeypatch.setenv("SPINCTL_OUT", str(tmp_path / "out"))
+        assert main([cfg["kind"], str(write_config(tmp_path, cfg)), *argv]) == 1
+        err = capsys.readouterr().err
+        (line,) = err.splitlines()
+        assert line.startswith("config error: ") and line.endswith("must be < 2**63 in magnitude")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "cfg, key",
         [
             (dict(SMALL_MAGNUS, kernel=PAPER_KERNEL), "kernel"),
@@ -367,7 +394,7 @@ class TestSweepAndSolve:
         assert summary["S_refined"] == want
 
 
-ROUND_KEYS = {"nit", "nfev", "message", "bc_error", "el_residual", "y_norm", "seconds"}
+ROUND_KEYS = {"nit", "nfev", "message", "bc_error", "el_residual", "y_norm", "seconds", "grid_steps"}
 
 
 class TestRoundRecord:

@@ -36,6 +36,11 @@ def nodal_dual(triad, kernel):
     return conv.dual(conv(conv.project(np.swapaxes(triad.values, 1, 2))))
 
 
+def cli_target():
+    """The README flagship's axis-angle target, as the CLI builds it."""
+    return TargetRotation.from_axis_angle((1, 0, 1), 2.0 * math.pi * (math.sqrt(2.0) - 1.0), 1)
+
+
 def paper_problem(kernel, target, n_steps=512, lambda_inv=50.0, **kw):
     return OptimizationProblem(
         kernel=kernel,
@@ -309,15 +314,28 @@ class TestSolveCertificates:
 
     def test_benchmark_point_descends_in_few_iterations(self, paper_kernel):
         # The benchmark solve: lambda_inv = 10 at n = 512 on the CLI's
-        # axis-angle target, from a cold start.  With every round at the floor
-        # gtol it took 471 objective evaluations, with the loose early rounds
-        # 353.  The drift-built target differs in the last bits and descends
-        # along another path (443 and 365).
-        target = TargetRotation.from_axis_angle((1, 0, 1), 2.0 * math.pi * (math.sqrt(2.0) - 1.0), 1)
-        problem = paper_problem(paper_kernel, target, n_steps=512, lambda_inv=10.0)
+        # axis-angle target, from a cold start.  Its loose first rounds run on
+        # COARSE_STEPS = 128 cells (379 objective evaluations), and 512 cells
+        # only finish the descent (68 evaluations, against 353 for a solve on
+        # 512 cells alone and 471 with every round at the floor gtol).
+        problem = paper_problem(paper_kernel, cli_target(), n_steps=512, lambda_inv=10.0)
         sol = solve(problem)
         assert sol.el_residual <= problem.tolerances.el_tol
-        assert sum(r.nfev for r in sol.rounds) < 420
+        grids = [r.grid_steps for r in sol.rounds]
+        assert grids == sorted(grids) and grids[0] == optimizer.COARSE_STEPS and grids[-1] == 512
+        assert sum(r.nfev for r in sol.rounds if r.grid_steps == 512) < 120
+        assert sum(r.nfev for r in sol.rounds if r.grid_steps == optimizer.COARSE_STEPS) < 420
+
+    def test_grid_under_four_coarse_grids_runs_alone(self, paper_kernel):
+        sol = solve(paper_problem(paper_kernel, cli_target(), n_steps=256, lambda_inv=1.0))
+        assert sol.rounds and all(r.grid_steps == 256 for r in sol.rounds)
+
+    def test_coarse_start_ends_on_the_problem_grid(self, paper_kernel):
+        # A solve on 512 cells alone reaches S_c = 13.61649776 here.
+        sol = solve(paper_problem(paper_kernel, cli_target(), n_steps=512, lambda_inv=1.0))
+        assert sol.deviation_cells.shape == (512, 3)
+        assert sol.rounds[0].grid_steps == optimizer.COARSE_STEPS and sol.rounds[-1].grid_steps == 512
+        assert sol.S_c == pytest.approx(13.61649776, rel=1e-7)
 
     def test_borderline_point_certifies(self, paper_kernel, paper_target):
         # Cold lambda_inv = 30 at n = 512 lands at el 8.7e-5 on one descent
