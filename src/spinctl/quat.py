@@ -4,12 +4,16 @@ Scalar types (`Quat`, `PureQuat`, `UnitQuat`) are immutable and validated on
 construction.  The module also exposes vectorized helpers operating on numpy
 arrays of shape (..., 4) in (w, x, y, z) order, or (..., 3) for pure
 quaternions; these power the batched inner loops elsewhere in the package.
-Ordered products of step quaternions along axis -2 exist once, here:
-`qprefix` returns every prefix (Hillis-Steele doubling, log2(n) vectorized
-passes) and `qproduct` only the total (pairwise tree reduction), both by
-the one product kernel `qmul_wxyz` in their input's memory order.  The Monte
-Carlo path passes component-major steps, memory (4, n, paths) viewed as
-(paths, n, 4), so every ufunc runs on contiguous rows of paths.
+Ordered products of step quaternions along axis -2 exist once, here, on two
+kernels because their callers pull apart.  `qprefix` returns every prefix
+(Hillis-Steele doubling) on complex pairs of a C-ordered copy, 8 complex
+ufuncs a pass instead of `qmul_wxyz`'s 28 real ones: the solver's chain runs
+it per objective evaluation on 128-2,048 rows, where the cost is per call
+(302 -> 102 us at n = 128, 2 vCPUs).  `qproduct` returns only the total (tree
+reduction) by `qmul_wxyz` in its input's memory order: the Monte Carlo path
+passes component-major steps, memory (4, n, paths) viewed as (paths, n, 4),
+so every ufunc runs on contiguous rows of paths; complex pairs measured
+slower there (3.6-4.2 against 2.8-3.2 ms per 128-path block and epsilon).
 
 Conventions: the basis satisfies e_i e_j = -delta_ij + eps_ijk e_k, a unit
 quaternion u rotates a pure quaternion p via u p conj(u), and composing
@@ -258,8 +262,9 @@ _QMUL_ROWS = (
 def qmul_wxyz(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Componentwise-batched quaternion product of (..., 4) arrays, broadcasting.
 
-    The one product kernel: one ufunc per term into the components of
-    ``out`` (aliasing neither factor), in the operands' memory order.
+    The real product kernel of ``qproduct``: one ufunc per term into the
+    components of ``out`` (aliasing neither factor), in the operands' memory
+    order.  ``qprefix`` runs on complex pairs instead (see the module notes).
     """
     if out is None:
         out = np.empty(np.broadcast(a, b).shape)
@@ -322,13 +327,18 @@ def qprefix(steps: np.ndarray) -> np.ndarray:
     Returns (..., n + 1, 4): row 0 is the identity and row k is
     s_{k-1} ... s_1 s_0 (later factors on the left).  Products are
     associative, so Hillis-Steele doubling needs ceil(log2 n) vectorized
-    passes; the result is renormalized once at the end.
+    passes of (a1 + b1 e2)(a2 + b2 e2) = (a1 a2 - b1 conj(b2)) + (a1 b2 +
+    b1 conj(a2)) e2, in place on a copy, then one renormalization.
     """
-    acc = np.array(steps, dtype=float)
-    n = acc.shape[-2]
+    acc = np.array(steps, dtype=float, order="C")
+    pair = acc.view(np.complex128)  # q = alpha + beta e2, alpha = w + x i, beta = y + z i
+    alpha, beta = pair[..., 0], pair[..., 1]
     shift = 1
-    while shift < n:
-        acc[..., shift:, :] = qmul_wxyz(acc[..., shift:, :], acc[..., :-shift, :])
+    while shift < acc.shape[-2]:
+        a1, b1, a2, b2 = alpha[..., shift:], beta[..., shift:], alpha[..., :-shift], beta[..., :-shift]
+        b_new = a1 * b2 + b1 * a2.conj()
+        a1[...] = a1 * a2 - b1 * b2.conj()
+        b1[...] = b_new
         shift *= 2
     ident = np.zeros(acc.shape[:-2] + (1, 4))
     ident[..., 0] = 1.0

@@ -315,7 +315,7 @@ def left_fold(steps):
 class TestOrderedProducts:
     """qprefix/qproduct against an independent scalar fold of umul."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 512, 513])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 512, 513, 2048])
     @pytest.mark.parametrize("batch", [(), (3,)])
     def test_match_scalar_fold(self, n, batch):
         rng = np.random.default_rng(n)
@@ -352,13 +352,25 @@ def stacked_normalize(a):
     return a / np.sqrt(np.sum(a * a, axis=-1, keepdims=True))
 
 
-def stacked_scan(steps):
-    """Doubling scan by ``stacked_product``, updated in place, renormalized once."""
-    acc = np.array(steps, dtype=float)
+def paired_scan(steps):
+    """Doubling scan on complex pairs q = alpha + beta e2, fresh arrays per pass, renormalized once.
+
+    alpha = w + x i and beta = y + z i, so (a1 + b1 e2)(a2 + b2 e2) is
+    (a1 a2 - b1 conj(b2)) + (a1 b2 + b1 conj(a2)) e2.  numpy's complex
+    multiply does not round like the real four-term expression, so this is
+    the bit reference for ``qprefix``, not ``stacked_product``.
+    """
+    pair = np.ascontiguousarray(steps, dtype=float).view(complex)
+    alpha, beta = pair[..., 0], pair[..., 1]
     shift = 1
-    while shift < acc.shape[-2]:
-        acc[..., shift:, :] = stacked_product(acc[..., shift:, :], acc[..., :-shift, :])
+    while shift < alpha.shape[-1]:
+        a1, b1, a2, b2 = alpha[..., shift:], beta[..., shift:], alpha[..., :-shift], beta[..., :-shift]
+        alpha, beta = (
+            np.concatenate([alpha[..., :shift], a1 * a2 - b1 * np.conj(b2)], axis=-1),
+            np.concatenate([beta[..., :shift], a1 * b2 + b1 * np.conj(a2)], axis=-1),
+        )
         shift *= 2
+    acc = np.stack([alpha, beta], axis=-1).view(float)
     ident = np.zeros(acc.shape[:-2] + (1, 4))
     ident[..., 0] = 1.0
     return np.concatenate([ident, stacked_normalize(acc)], axis=-2)
@@ -381,7 +393,7 @@ def component_major(a):
 
 
 class TestProductKernelBits:
-    """The product kernel, scan and tree reduction keep the np.stack form's bits in every layout."""
+    """The product kernel and tree reduction keep the np.stack form's bits, the scan the complex-pair form's, in every layout."""
 
     @pytest.mark.parametrize("layout", [np.ascontiguousarray, component_major])
     def test_product_matches_stacked_form(self, layout):
@@ -400,8 +412,18 @@ class TestProductKernelBits:
     def test_scan_and_tree_match_stacked_form(self, n, batch, layout):
         rng = np.random.default_rng(100 + n)
         steps = layout(qexp_vec(rng.normal(scale=0.5, size=batch + (n, 3))))
-        np.testing.assert_array_equal(qprefix(steps), stacked_scan(steps))
+        np.testing.assert_array_equal(qprefix(steps), paired_scan(steps))
         np.testing.assert_array_equal(qproduct(steps), stacked_tree(steps))
+
+    def test_prefix_never_writes_its_input(self):
+        # the passes write in place through a complex view of qprefix's own copy
+        rng = np.random.default_rng(33)
+        steps = qexp_vec(rng.normal(scale=0.5, size=(5, 129, 3)))
+        larger = qexp_vec(rng.normal(scale=0.5, size=(300, 3)))
+        for arg in (steps, component_major(steps), larger[:129], larger[7:300:2]):
+            before = arg.copy()
+            qprefix(arg)
+            np.testing.assert_array_equal(arg.view(np.uint64), before.view(np.uint64))
 
     def test_exp_on_component_major_view_matches_c_order(self):
         rng = np.random.default_rng(32)
