@@ -30,6 +30,7 @@ from .quat import (
     qprefix,
     quat_to_matrix,
     qconj,
+    vee,
 )
 
 __all__ = [
@@ -137,10 +138,7 @@ def omega_from_triad(triad: TriadPath) -> ControlPath:
     v = triad.values
     dv = _central_diff(v, triad.grid.dt)
     a = np.einsum("kjc,klc->kjl", v, dv)  # A_jl = E_j . dE_l
-    lab = 0.5 * np.stack(
-        [a[:, 1, 2] - a[:, 2, 1], a[:, 2, 0] - a[:, 0, 2], a[:, 0, 1] - a[:, 1, 0]],
-        axis=1,
-    )
+    lab = -0.5 * vee(a)
     rot = np.einsum("ki,kic->kc", lab, v)
     return ControlPath(triad.grid, PurePath(triad.grid, rot), PurePath(triad.grid, lab))
 

@@ -245,9 +245,7 @@ def mc_fidelity_table(
         steps = _head(local.bufs[1], (size, n - 1, 4), order="F")
         cells = []
         for eps in epsilons:
-            # The node sums go straight into the step array, where the ordered product scales them.
-            sums = np.add(rot[:, :-1], rot[:, 1:], out=steps.T[1:])
-            a_half = ordered_exp_batch(rot.T, eps, grid.dt, node_sums=sums.T, out=steps)[:, 0]
+            a_half = ordered_exp_batch(rot.T, eps, grid.dt, out=steps)[:, 0]
             cells += [_amplitudes_from_half(a_half, spin) for spin in spins]
         return cells
 

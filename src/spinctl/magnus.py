@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonConvergence, SingularCot, UnsupportedOrder
-from .quat import UnitQuat, cross3, qexp_vec, qproduct
+from .quat import UnitQuat, cross3, jl_transpose_apply, qexp_vec, qproduct
 
 __all__ = [
     "TimeGrid",
@@ -120,24 +120,21 @@ def time_ordered_exp(n: PurePath, epsilon) -> UnitQuat:
     return UnitQuat.normalized(*(float(c) for c in qproduct(steps)))
 
 
-def ordered_exp_batch(values: np.ndarray, epsilon, dt: float, node_sums=None, out=None) -> np.ndarray:
+def ordered_exp_batch(values: np.ndarray, epsilon, dt: float, out=None) -> np.ndarray:
     """Ordered midpoint product for a batch of sampled fields.
 
     ``values`` has shape (batch, n_nodes, 3), any layout; component-major
-    memory (3, n_nodes, batch) is the fast one.  ``node_sums`` may pass
-    ``values[:, :-1] + values[:, 1:]`` already formed, also as
-    ``out[..., 1:]`` itself, where it is scaled in place.  Returns unit
-    quaternions of shape (batch, 4).  Same discretization as
-    ``time_ordered_exp``.  The step exponents are built in place in one
-    component-major step array of the whole batch, so the Monte Carlo
-    pipeline passes one block of paths at a time; ``out`` (batch,
-    n_nodes - 1, 4) may pass that step array, to be overwritten, so a
-    caller reuses it from block to block.
+    memory (3, n_nodes, batch) is the fast one.  Returns unit quaternions
+    of shape (batch, 4).  Same discretization as ``time_ordered_exp``.
+    The node sums are added straight into one component-major step array
+    of the whole batch and the step exponents built there in place, so the
+    Monte Carlo pipeline passes one block of paths at a time; ``out``
+    (batch, n_nodes - 1, 4) may pass that step array, to be overwritten, so
+    a caller reuses it from block to block.
     """
-    if node_sums is None:
-        node_sums = values[:, :-1, :] + values[:, 1:, :]
-    steps = np.empty(node_sums.shape[:-1] + (4,), order="F") if out is None else out
-    v = np.multiply(node_sums, 0.25 * float(epsilon) * dt, out=steps[..., 1:])
+    steps = np.empty((len(values), values.shape[1] - 1, 4), order="F") if out is None else out
+    v = np.add(values[:, :-1, :], values[:, 1:, :], out=steps[..., 1:])
+    v *= 0.25 * float(epsilon) * dt
     return qproduct(qexp_vec(v, out=steps))
 
 
@@ -410,33 +407,12 @@ def n_of_m(m: PurePath, epsilon) -> PurePath:
     """Recover the field n(t) generating a given rotation-vector history.
 
     Exact inverse of ``solve_m_ode`` up to finite-difference error:
-    n = (dm/dt).m_hat m_hat + (sin eps m / eps) dm_hat/dt
-      + ((1 - cos eps m)/eps) m_hat x dm_hat/dt,
-    implemented in a form that stays smooth as |m| -> 0 (where it reduces to
-    n = dm/dt, which is also the eps -> 0 limit).
+    n = J_l(eps m) dm/dt, with J_l the left Jacobian of the exponential map,
+    computed as J_l(-eps m)^T dm/dt by ``quat.jl_transpose_apply``; it
+    reduces to n = dm/dt as |m| -> 0, which is also the eps -> 0 limit.
     """
-    eps = float(epsilon)
     v = m.values
-    dm = _central_diff(v, m.grid.dt)
-    m2 = np.sum(v * v, axis=1)
-    y2 = (eps * eps) * m2
-    y = np.sqrt(y2)
-
-    small = y < 1e-4
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sinc = np.where(small, 1.0 - y2 / 6.0 + y2 * y2 / 120.0, np.sin(y) / np.where(y == 0.0, 1.0, y))
-        gcos = np.where(small, 0.5 - y2 / 24.0 + y2 * y2 / 720.0, (1.0 - np.cos(y)) / np.where(y2 == 0.0, 1.0, y2))
-        # (1 - sinc y)/y^2, finite at 0
-        acoef = np.where(small, 1.0 / 6.0 - y2 / 120.0 + y2 * y2 / 5040.0, (1.0 - sinc) / np.where(y2 == 0.0, 1.0, y2))
-
-    mdotdm = np.sum(v * dm, axis=1)
-    cross = cross3(v, dm)
-    out = (
-        sinc[:, None] * dm
-        + (eps * eps) * (acoef * mdotdm)[:, None] * v
-        + eps * gcos[:, None] * cross
-    )
-    return PurePath(m.grid, out)
+    return PurePath(m.grid, jl_transpose_apply(-float(epsilon) * v, _central_diff(v, m.grid.dt)))
 
 
 # ---------------------------------------------------------------------------

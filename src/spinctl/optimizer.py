@@ -37,7 +37,7 @@ from .errors import BCUnreachable, NoDescent, SolveFailed
 from .evolution import ControlPath, TargetRotation, TriadPath, drift_for_target
 from .magnus import PurePath, TimeGrid, _central_diff
 from .noise import LagConvolution, NoiseKernel
-from .quat import cross3, qexp_vec, qprefix, quat_to_matrix
+from .quat import cross3, jl_transpose_apply, qexp_vec, qprefix, quat_to_matrix, vee
 
 __all__ = [
     "Tolerances",
@@ -214,14 +214,6 @@ def el_residual(solution: ControlSolution, problem: OptimizationProblem) -> floa
     return _Workspace(problem).el_residual(cells, solution.lambda_inv)
 
 
-def _vee(b: np.ndarray) -> np.ndarray:
-    """vee(B - B^T) for a batch of 3x3 matrices."""
-    return np.stack(
-        [b[..., 2, 1] - b[..., 1, 2], b[..., 0, 2] - b[..., 2, 0], b[..., 1, 0] - b[..., 0, 1]],
-        axis=-1,
-    )
-
-
 class _Workspace:
     """Precomputed quantities shared by every objective evaluation.
 
@@ -288,25 +280,6 @@ class _Workspace:
         torque = conv.weights[:, None] * np.sum(cross3(conv.axes[:, None, :], u), axis=0)
         return s_val, torque
 
-    @staticmethod
-    def _jl_transpose_apply(phi: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        """Apply the transposed left Jacobian of the exponential map."""
-        theta2 = np.sum(phi * phi, axis=1)
-        theta = np.sqrt(theta2)
-        small = theta < 1e-4
-        with np.errstate(invalid="ignore", divide="ignore"):
-            c1 = np.where(small, 0.5 - theta2 / 24.0,
-                          (1.0 - np.cos(theta)) / np.where(theta2 == 0, 1.0, theta2))
-            c2 = np.where(
-                small,
-                1.0 / 6.0 - theta2 / 120.0,
-                (theta - np.sin(theta))
-                / np.where(theta2 == 0, 1.0, theta2 * np.where(theta == 0, 1.0, theta)),
-            )
-        # J_l(phi)^T v = v - c1 phi x v + c2 phi x (phi x v)
-        pxv = cross3(phi, vec)
-        return vec - c1[:, None] * pxv + c2[:, None] * cross3(phi, pxv)
-
     def _chain(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Chain rotations R_k (n_nodes), half-step rotations R*_k and lab matrices A_k R*_k at the cells.
 
@@ -344,7 +317,7 @@ class _Workspace:
         # quadratic penalty |R_N - I|_F^2 = 6 - 2 tr R_N.
         r_end = rmats[-1]
         bsq = 6.0 - 2.0 * float(np.trace(r_end))
-        c = _vee(r_end)
+        c = vee(r_end)
         g_pen = (2.0 * mu) * c + (np.trace(r_end) * np.eye(3) - r_end) @ y
 
         omega = self.drift[None, :] + cells
@@ -359,7 +332,7 @@ class _Workspace:
         sigma = suffix + g_pen[None, :]
         gamma = np.einsum("kab,kb->ka", rmats[1:], sigma)
         local = np.einsum("kab,kb->ka", rstars, torque)
-        jt = self._jl_transpose_apply(np.concatenate([phi, 0.5 * phi]), np.concatenate([gamma, local]))
+        jt = jl_transpose_apply(np.concatenate([phi, 0.5 * phi]), np.concatenate([gamma, local]))
         dphi = jt[:m] + 0.5 * jt[m:]
 
         grad = self.dt * omega - self.dt * dphi
@@ -499,7 +472,7 @@ def _descend(
                 break
             best_bc = min(best_bc, sol.bc_error)
             best_el = min(best_el, sol.el_residual)
-        y = y + mu * _vee(ws._chain(x)[0][-1])
+        y = y + mu * vee(ws._chain(x)[0][-1])
     message = res.message
     if bc_open:
         return BCUnreachable(
@@ -572,7 +545,7 @@ def sweep_lambda(problem: OptimizationProblem, ladder) -> tuple[ControlSolution 
     lambda_inv only.
     """
     ladder = tuple(float(v) for v in ladder)
-    check_ladder(ladder, "continuation")
+    check_ladder(ladder, "ladder")
     points: list[ControlSolution | SolveFailed] = []
     for lam_inv in ladder:
         try:

@@ -8,12 +8,14 @@ Ordered products of step quaternions along axis -2 exist once, here, on two
 kernels because their callers pull apart.  `qprefix` returns every prefix
 (Hillis-Steele doubling) on complex pairs of a C-ordered copy, 8 complex
 ufuncs a pass instead of `qmul_wxyz`'s 28 real ones: the solver's chain runs
-it per objective evaluation on 128-2,048 rows, where the cost is per call
-(302 -> 102 us at n = 128, 2 vCPUs).  `qproduct` returns only the total (tree
-reduction) by `qmul_wxyz` in its input's memory order: the Monte Carlo path
-passes component-major steps, memory (4, n, paths) viewed as (paths, n, 4),
-so every ufunc runs on contiguous rows of paths; complex pairs measured
-slower there (3.6-4.2 against 2.8-3.2 ms per 128-path block and epsilon).
+it per objective evaluation on 128-2,048 rows, where the cost is per call.
+`qproduct` returns only the total (tree reduction) by `qmul_wxyz` in its
+input's memory order: the Monte Carlo path passes component-major steps,
+memory (4, n, paths) viewed as (paths, n, 4), so every ufunc runs on
+contiguous rows of paths, where complex pairs measured slower.
+The rotation-vector calculus of the solver and of `magnus.n_of_m` lives here
+too: `vee`, the axial vector of B - B^T, and `jl_transpose_apply`, the
+transposed left Jacobian of the exponential map.
 
 Conventions: the basis satisfies e_i e_j = -delta_ij + eps_ijk e_k, a unit
 quaternion u rotates a pure quaternion p via u p conj(u), and composing
@@ -51,6 +53,8 @@ __all__ = [
     "qprefix",
     "qproduct",
     "quat_to_matrix",
+    "vee",
+    "jl_transpose_apply",
 ]
 
 _UNIT_TOL = 1e-12
@@ -377,3 +381,34 @@ def quat_to_matrix(u: np.ndarray) -> np.ndarray:
     out[..., 2, 1] = 2.0 * (y * z + w * x)
     out[..., 2, 2] = 1.0 - 2.0 * (x * x + y * y)
     return out
+
+
+def vee(b: np.ndarray) -> np.ndarray:
+    """vee(B - B^T) for a batch of 3x3 matrices."""
+    return np.stack(
+        [b[..., 2, 1] - b[..., 1, 2], b[..., 0, 2] - b[..., 2, 0], b[..., 1, 0] - b[..., 0, 1]],
+        axis=-1,
+    )
+
+
+def jl_transpose_apply(phi: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Transposed left Jacobian of the exponential map, J_l(phi)^T vec, per row of (k, 3) arrays.
+
+    J_l(phi)^T = J_l(-phi).  Below |phi| = 1e-4 the coefficients take
+    their Taylor series.
+    """
+    theta2 = np.sum(phi * phi, axis=1)
+    theta = np.sqrt(theta2)
+    small = theta < 1e-4
+    with np.errstate(invalid="ignore", divide="ignore"):
+        c1 = np.where(small, 0.5 - theta2 / 24.0,
+                      (1.0 - np.cos(theta)) / np.where(theta2 == 0, 1.0, theta2))
+        c2 = np.where(
+            small,
+            1.0 / 6.0 - theta2 / 120.0,
+            (theta - np.sin(theta))
+            / np.where(theta2 == 0, 1.0, theta2 * np.where(theta == 0, 1.0, theta)),
+        )
+    # J_l(phi)^T v = v - c1 phi x v + c2 phi x (phi x v)
+    pxv = cross3(phi, vec)
+    return vec - c1[:, None] * pxv + c2[:, None] * cross3(phi, pxv)

@@ -138,29 +138,27 @@ class TestTimeOrderedExp:
         assert view.strides[0] == view.itemsize
         np.testing.assert_array_equal(ordered_exp_batch(view, 0.8, grid.dt), ordered_exp_batch(values, 0.8, grid.dt))
 
-    def test_path_blocks_and_shared_node_sums_keep_bits(self):
-        # A batch larger than one Monte Carlo block, with and without shared
-        # node sums; the reference forms every step of every path in one array.
+    def test_path_blocks_keep_bits(self):
+        # A batch larger than one Monte Carlo block; the reference forms
+        # every step of every path in one array.
         grid = TimeGrid(1.0, 40)
         rng = np.random.default_rng(25)
         n_paths = 2 * fidelity._PATH_BLOCK + 7
         field = np.ascontiguousarray(rng.normal(size=(3, grid.n_nodes, n_paths)))
         values = field.transpose(2, 1, 0)
         expect = qproduct(qexp_vec(0.25 * 0.8 * grid.dt * (values[:, :-1] + values[:, 1:])))
-        sums = (field[:, :-1] + field[:, 1:]).T
         np.testing.assert_array_equal(ordered_exp_batch(values, 0.8, grid.dt), expect)
-        np.testing.assert_array_equal(ordered_exp_batch(values, 0.8, grid.dt, node_sums=sums), expect)
         # A reused step array, as the Monte Carlo table passes it: a full
         # block, then the short last block over the head of the same buffer.
         block = fidelity._PATH_BLOCK
         buf = np.empty(block * grid.n_steps * 4)
         full = fidelity._head(buf, (block, grid.n_steps, 4), order="F")
         np.testing.assert_array_equal(
-            ordered_exp_batch(values[:block], 0.8, grid.dt, node_sums=sums[:block], out=full), expect[:block]
+            ordered_exp_batch(values[:block], 0.8, grid.dt, out=full), expect[:block]
         )
         tail = fidelity._head(buf, (7, grid.n_steps, 4), order="F")
         np.testing.assert_array_equal(
-            ordered_exp_batch(values[-7:], 0.8, grid.dt, node_sums=sums[-7:], out=tail), expect[-7:]
+            ordered_exp_batch(values[-7:], 0.8, grid.dt, out=tail), expect[-7:]
         )
 
 
@@ -347,29 +345,16 @@ class TestMagnusTerms:
         n = random_smooth_path(grid, rng, amplitude=1.0)
         m2 = magnus_term(n, 2)
         v = n.values
-        w = np.full(grid.n_nodes, grid.dt)
-        w[0] = w[-1] = grid.dt / 2
-        total = np.zeros(3)
-        # brute-force iterated trapezoid of the two nested terms
-        for i1 in range(grid.n_nodes):
-            inner2 = np.zeros(3)
-            for i2 in range(i1 + 1):
-                inner3 = np.zeros(3)
-                for i3 in range(i2 + 1):
-                    w3 = grid.dt if 0 < i3 < i2 else grid.dt / 2
-                    if i2 == 0:
-                        w3 = 0.0
-                    inner3 += w3 * (
-                        np.cross(v[i1], np.cross(v[i2], v[i3]))
-                        + np.cross(v[i3], np.cross(v[i2], v[i1]))
-                    )
-                w2 = grid.dt if 0 < i2 < i1 else grid.dt / 2
-                if i1 == 0:
-                    w2 = 0.0
-                inner2 += w2 * inner3
-            w1 = grid.dt if 0 < i1 < grid.n_nodes - 1 else grid.dt / 2
-            total += w1 * inner2
-        total /= 6.0
+        # brute-force iterated trapezoid of the two nested terms over every
+        # node triple (i1, i2, i3); trap[i, j] weighs node j in the trapezoid
+        # over [t_0, t_i] (row 0 is zero)
+        trap = np.zeros((grid.n_nodes, grid.n_nodes))
+        for i in range(1, grid.n_nodes):
+            trap[i, : i + 1] = grid.dt
+            trap[i, [0, i]] = grid.dt / 2
+        v1, v2, v3 = v[:, None, None], v[None, :, None], v[None, None, :]
+        terms = np.cross(v1, np.cross(v2, v3)) + np.cross(v3, np.cross(v2, v1))
+        total = np.einsum("a,ab,bc,abcx->x", trap[-1], trap, trap, terms) / 6.0
         np.testing.assert_allclose(m2.values[-1], total, atol=1e-10)
 
     def test_unsupported_order(self):

@@ -10,13 +10,12 @@ from spinctl.errors import BCUnreachable, NoDescent, SolveFailed
 from spinctl.evolution import TargetRotation, omega_from_triad, propagate_triad
 from spinctl.fidelity import action_S
 from spinctl.magnus import PurePath, TimeGrid
-from spinctl.quat import qexp_vec, qprefix, quat_to_matrix
+from spinctl.quat import jl_transpose_apply, qexp_vec, qprefix, quat_to_matrix, vee
 from spinctl.noise import DiagonalConstant, LagConvolution, OneOverF
 from spinctl.optimizer import (
     ControlSolution,
     OptimizationProblem,
     Tolerances,
-    _vee,
     _Workspace,
     el_residual,
     evaluate_deviation,
@@ -167,7 +166,7 @@ def unbatched_objective(ws, xflat, lam_inv, mu, y):
     torque = torque * lam_inv
     r_end = rmats[-1]
     bsq = 6.0 - 2.0 * float(np.trace(r_end))
-    c = _vee(r_end)
+    c = vee(r_end)
     g_pen = (2.0 * mu) * c + (np.trace(r_end) * np.eye(3) - r_end) @ y
     omega = ws.drift[None, :] + cells
     quad = ws.dt * float(np.sum(omega * omega))
@@ -176,9 +175,9 @@ def unbatched_objective(ws, xflat, lam_inv, mu, y):
     suffix[:-1] = np.flip(np.cumsum(np.flip(torque[1:], 0), axis=0), 0)
     sigma = suffix + g_pen[None, :]
     gamma = np.einsum("kab,kb->ka", rmats[1:], sigma)
-    dphi = ws._jl_transpose_apply(phi, gamma)
+    dphi = jl_transpose_apply(phi, gamma)
     local = np.einsum("kab,kb->ka", rstars, torque)
-    dphi += 0.5 * ws._jl_transpose_apply(0.5 * phi, local)
+    dphi += 0.5 * jl_transpose_apply(0.5 * phi, local)
     grad = ws.dt * omega - ws.dt * dphi
     return j_val, grad.ravel()
 
@@ -438,13 +437,13 @@ class TestRoundSchedule:
 class TestSweep:
     @pytest.mark.parametrize("ladder", [(10.0, 20.0), (0.0, 10.0, 10.0), (0.0, 20.0, 10.0)])
     def test_bad_ladder_rejected(self, paper_kernel, paper_target, ladder):
-        with pytest.raises(ValueError, match="^continuation must start at 0 and increase strictly$"):
+        with pytest.raises(ValueError, match="^ladder must start at 0 and increase strictly$"):
             sweep_lambda(paper_problem(paper_kernel, paper_target, n_steps=16, lambda_inv=0.0), ladder)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_ladder_rejected(self, paper_kernel, paper_target, bad):
         # NaN compares false with everything, so the order check alone lets it through.
-        with pytest.raises(ValueError, match="^continuation must be finite$"):
+        with pytest.raises(ValueError, match="^ladder must be finite$"):
             sweep_lambda(paper_problem(paper_kernel, paper_target, n_steps=16, lambda_inv=0.0), (0.0, bad))
 
     def test_single_point_sweep_is_drift(self, paper_kernel, paper_target):

@@ -12,6 +12,7 @@ from spinctl.quat import (
     Quat,
     UnitQuat,
     cross3,
+    jl_transpose_apply,
     qconj,
     qdot,
     qexp,
@@ -26,6 +27,7 @@ from spinctl.quat import (
     qprefix,
     qproduct,
     quat_to_matrix,
+    vee,
 )
 from spinctl.quat import _EXP_SERIES_CUT
 
@@ -433,3 +435,30 @@ class TestProductKernelBits:
         out[..., 1:] = vecs
         qexp_vec(out[..., 1:], out=out)
         np.testing.assert_array_equal(out, qexp_vec(vecs))
+
+
+def hat(w):
+    """Skew matrix [w]^ with [w]^ v = w x v."""
+    return np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+
+
+class TestRotationVectorCalculus:
+    def test_vee_of_skew_plus_symmetric(self):
+        w = np.array([0.25, -1.5, 2.5])  # dyadic, so the symmetric part cancels exactly
+        sym = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
+        np.testing.assert_array_equal(vee(hat(w) + sym), 2.0 * w)
+
+    def test_jacobian_matches_rotation_derivative(self):
+        # J_l(phi) delta = vee(dR R^T) / 2 along phi + h delta, and J_l(phi) = J_l(-phi)^T;
+        # the angles sit on both sides of the 1e-4 series cut.
+        rng = np.random.default_rng(41)
+        axis = rng.normal(size=3)
+        phi = np.array([0.0, 5e-5, 2e-4, 1.0, 3.0])[:, None] * (axis / np.linalg.norm(axis))
+        delta = rng.normal(size=phi.shape)
+        h = 1e-6
+
+        def rot(p):
+            return quat_to_matrix(qexp_vec(0.5 * p))
+
+        dr = (rot(phi + h * delta) - rot(phi - h * delta)) @ np.swapaxes(rot(phi), -1, -2)
+        np.testing.assert_allclose(jl_transpose_apply(-phi, delta), vee(dr) / (4.0 * h), rtol=0, atol=1e-8)
