@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AxisRequired
-from .magnus import PurePath, TimeGrid, _central_diff
+from .magnus import PurePath, TimeGrid
 from .quat import (
     PureQuat,
     UnitQuat,
@@ -136,7 +136,7 @@ def omega_from_triad(triad: TriadPath) -> ControlPath:
     Omega = omega^i E_i.
     """
     v = triad.values
-    dv = _central_diff(v, triad.grid.dt)
+    dv = np.gradient(v, triad.grid.dt, axis=0, edge_order=2)
     a = np.einsum("kjc,klc->kjl", v, dv)  # A_jl = E_j . dE_l
     lab = -0.5 * vee(a)
     rot = np.einsum("ki,kic->kc", lab, v)

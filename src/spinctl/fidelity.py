@@ -136,27 +136,23 @@ def amplitude_s(spin: SpinNumber, m_tau: float, epsilon) -> float:
 
 
 def chebyshev_U(j: int, x: float) -> float:
-    """Chebyshev polynomial of the second kind by the stable recurrence.
+    """Chebyshev polynomial U_j(x) of the second kind, ``scipy.special.eval_chebyu``.
 
-    V_0 = 1, V_1 = 2x, V_{k+1} = 2x V_k - V_{k-1}; on x = cos(theta) this is
-    sin((j+1) theta)/sin(theta).
+    x within 1e-12 of [-1, 1] is clamped onto it.
 
     Raises
     ------
+    ValueError
+        If j is not an integer >= 0.
     DomainError
         If |x| exceeds 1 by more than 1e-12.
     """
-    if j < 0:
-        raise ValueError("order must be >= 0")
+    if not isinstance(j, (int, np.integer)) or j < 0:
+        raise ValueError("order must be an integer >= 0")
     if abs(x) > 1.0 + 1e-12:
         raise DomainError(f"chebyshev_U requires |x| <= 1, got {x!r}")
-    x = min(1.0, max(-1.0, x))
-    if j == 0:
-        return 1.0
-    prev, cur = 1.0, 2.0 * x
-    for _ in range(j - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur
+    from scipy.special import eval_chebyu  # on first use; see the package docstring
+    return float(eval_chebyu(j, min(1.0, max(-1.0, x))))
 
 
 def _amplitudes_from_half(a_half: np.ndarray, spin: SpinNumber) -> np.ndarray:

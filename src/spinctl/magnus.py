@@ -394,15 +394,6 @@ def solve_m_ode_batch(values: np.ndarray, epsilons, grid: TimeGrid) -> np.ndarra
     return m[:3].T.reshape(len(values), len(eps), 3)
 
 
-def _central_diff(v: np.ndarray, dt: float) -> np.ndarray:
-    """Second-order time derivative: central interior, one-sided ends."""
-    d = np.empty_like(v)
-    d[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
-    d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dt)
-    d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dt)
-    return d
-
-
 def n_of_m(m: PurePath, epsilon) -> PurePath:
     """Recover the field n(t) generating a given rotation-vector history.
 
@@ -412,7 +403,8 @@ def n_of_m(m: PurePath, epsilon) -> PurePath:
     reduces to n = dm/dt as |m| -> 0, which is also the eps -> 0 limit.
     """
     v = m.values
-    return PurePath(m.grid, jl_transpose_apply(-float(epsilon) * v, _central_diff(v, m.grid.dt)))
+    dv = np.gradient(v, m.grid.dt, axis=0, edge_order=2)
+    return PurePath(m.grid, jl_transpose_apply(-float(epsilon) * v, dv))
 
 
 # ---------------------------------------------------------------------------

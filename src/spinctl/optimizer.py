@@ -3,7 +3,7 @@
 Minimizes the noise action S augmented with an energy-output term,
 S_c = S + (lambda/2) int |Omega|^2 dt, over rigid-triad trajectories meeting
 the target boundary conditions.  The solver works in the frame co-rotating
-with the constant drift Omega_D: decision variables are the nodal values of
+with the constant drift Omega_D: decision variables are the cell values of
 the deviation field dOmega(t) (static components), the rotating triad is
 reconstructed by propagation from the static triad, and the terminal
 closed-loop condition c = vee(R_N) = 0 is enforced by an augmented
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import BCUnreachable, NoDescent, SolveFailed
 from .evolution import ControlPath, TargetRotation, TriadPath, drift_for_target
-from .magnus import PurePath, TimeGrid, _central_diff
+from .magnus import PurePath, TimeGrid
 from .noise import LagConvolution, NoiseKernel
 from .quat import cross3, jl_transpose_apply, qexp_vec, qprefix, quat_to_matrix, vee
 
@@ -209,9 +209,12 @@ def el_residual(solution: ControlSolution, problem: OptimizationProblem) -> floa
     of the control, so the residual is max_t |dOmega/dt| * tau / |Omega_D|.
 
     The minimizer never uses this equation; it is a post-hoc certificate.
+    ValueError unless ``problem`` has the solution's lambda_inv and cell count.
     """
-    cells = _coerce_cells(solution.deviation_cells, problem.grid)
-    return _Workspace(problem).el_residual(cells, solution.lambda_inv)
+    cells = solution.deviation_cells
+    if solution.lambda_inv != problem.lambda_inv or cells.shape != (problem.grid.n_steps, 3):
+        raise ValueError(f"problem (lambda_inv {problem.lambda_inv!r}, {problem.grid.n_steps} cells) is not the solution's")
+    return _Workspace(problem).el_residual(cells)
 
 
 class _Workspace:
@@ -233,6 +236,7 @@ class _Workspace:
         self.n = problem.grid.n_nodes
         self.dt = problem.grid.dt
         self.drift = drift_for_target(problem.target, problem.tau).as_array()
+        self.mu = MU / problem.tau  # penalty weight of the augmented Lagrangian
 
     def _drift_frames(self, t: np.ndarray) -> np.ndarray:
         """Drift de-rotation matrices A(t) = R(conj(u0(t))), u0 = exp(t/2 Omega_D)."""
@@ -294,9 +298,7 @@ class _Workspace:
         rstars = half_steps @ rmats[:-1]
         return rmats, rstars, self.amats_c @ rstars
 
-    def objective(
-        self, xflat: np.ndarray, lam_inv: float, mu: float, y: np.ndarray
-    ) -> tuple[float, np.ndarray]:
+    def objective(self, xflat: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         """Scaled objective J and its gradient with respect to the cell deviations.
 
         ``y`` is the multiplier on the loop defect c = vee(R_N).  The action
@@ -311,24 +313,24 @@ class _Workspace:
         phi = -self.dt * cells
 
         s_val, torque = self._action_core(self.cells_conv, lstars)
-        torque = torque * lam_inv  # body-frame torque per cell
+        torque = torque * self.problem.lambda_inv  # body-frame torque per cell
 
         # Terminal loop closure: multiplier term y . vee(R_N) plus the
         # quadratic penalty |R_N - I|_F^2 = 6 - 2 tr R_N.
         r_end = rmats[-1]
-        bsq = 6.0 - 2.0 * float(np.trace(r_end))
+        tr = np.trace(r_end)
+        bsq = 6.0 - 2.0 * float(tr)
         c = vee(r_end)
-        g_pen = (2.0 * mu) * c + (np.trace(r_end) * np.eye(3) - r_end) @ y
+        g_pen = (2.0 * self.mu) * c + (tr * np.eye(3) - r_end) @ y
 
         omega = self.drift[None, :] + cells
         quad = self.dt * float(np.sum(omega * omega))
-        j_val = lam_inv * s_val + 0.5 * quad + float(np.dot(y, c)) + mu * bsq
+        j_val = self.problem.lambda_inv * s_val + 0.5 * quad + float(np.dot(y, c)) + self.mu * bsq
 
         # Reverse transport.  Perturbing cell k moves every later cell sample
         # and the terminal node through R_{k+1}, plus its own half-step sample.
         suffix = np.zeros((m, 3))
-        if self.n > 2:
-            suffix[:-1] = np.flip(np.cumsum(np.flip(torque[1:], 0), axis=0), 0)
+        suffix[:-1] = np.flip(np.cumsum(np.flip(torque[1:], 0), axis=0), 0)
         sigma = suffix + g_pen[None, :]
         gamma = np.einsum("kab,kb->ka", rmats[1:], sigma)
         local = np.einsum("kab,kb->ka", rstars, torque)
@@ -338,7 +340,7 @@ class _Workspace:
         grad = self.dt * omega - self.dt * dphi
         return j_val, grad.ravel()
 
-    def el_residual(self, cells: np.ndarray, lam_inv: float) -> float:
+    def el_residual(self, cells: np.ndarray) -> float:
         """Force-balance certificate of cell values on this grid (see the module's ``el_residual``).
 
         The cells are resampled onto the certificate workspace's cells, and
@@ -347,14 +349,14 @@ class _Workspace:
         cert = self.certificate
         cells = _resample_cells(cells, self.problem.grid, cert.problem.grid.centers)
         omega_star = np.einsum("kab,kb->ka", cert.amats_c, cert.drift[None, :] + cells)
-        dom = _central_diff(omega_star, cert.dt)
+        dom = np.gradient(omega_star, cert.dt, axis=0, edge_order=2)
         drift_norm = float(np.linalg.norm(cert.drift))
-        if lam_inv == 0.0:
+        if self.problem.lambda_inv == 0.0:
             return float(np.max(np.linalg.norm(dom, axis=1))) * self.problem.tau / max(drift_norm, 1e-300)
 
         _, _, lstars = cert._chain(cells)
         conv = cert.cells_conv
-        lam = 1.0 / lam_inv
+        lam = 1.0 / self.problem.lambda_inv
         p = conv.project(lstars)
         d = conv(p)
         force = np.sum(cross3(p, d), axis=0)
@@ -365,8 +367,8 @@ class _Workspace:
 
     # -- solution assembly ---------------------------------------------------
 
-    def evaluate(self, x: np.ndarray, lam_inv: float) -> ControlSolution:
-        grid = self.problem.grid
+    def evaluate(self, x: np.ndarray) -> ControlSolution:
+        grid, lam_inv = self.problem.grid, self.problem.lambda_inv
         cells = _coerce_cells(x, grid)
         x_nodes = self.nodes_from_cells(cells)
         rmats = self._chain(cells)[0]
@@ -397,7 +399,7 @@ class _Workspace:
             E_out=e_out,
             bc_error=bc_error,
             lambda_inv=lam_inv,
-            _certify=cache(lambda: self.el_residual(own, lam_inv)),
+            _certify=cache(lambda: self.el_residual(own)),
         )
 
 
@@ -408,8 +410,7 @@ def evaluate_deviation(problem: OptimizationProblem, x: np.ndarray) -> ControlSo
     and re-evaluating stored deviations on other grids.  ``x`` may be a
     cell (n_steps, 3) or nodal (n_nodes, 3) history.
     """
-    ws = _Workspace(problem)
-    return ws.evaluate(x, problem.lambda_inv)
+    return _Workspace(problem).evaluate(x)
 
 
 def refine_deviation(problem: OptimizationProblem, x: np.ndarray, n_steps: int) -> ControlSolution:
@@ -442,20 +443,18 @@ def _descend(
     the multiplier y where the rounds stopped.
     """
     problem = ws.problem
-    lam_inv = problem.lambda_inv
     tols = problem.tolerances
-    mu = MU / problem.tau
     best_bc = best_el = math.inf
     rounds = list(rounds)
     for k in range(first_round, MAX_ROUNDS):
         start = time.perf_counter()
         gtol = max(GTOL_FLOOR, GTOL_START / GTOL_FACTOR**k)
         res = minimize(
-            ws.objective, x.ravel(), args=(lam_inv, mu, y), jac=True, method="L-BFGS-B",
+            ws.objective, x.ravel(), args=(y,), jac=True, method="L-BFGS-B",
             options={"maxiter": 12_000, "ftol": FTOL, "gtol": gtol, "maxcor": 30},
         )
         x = res.x.reshape(ws.n - 1, 3)
-        sol = ws.evaluate(x, lam_inv)
+        sol = ws.evaluate(x)
         rounds.append(SolveRound(
             nit=int(res.nit), nfev=int(res.nfev), message=str(res.message),
             bc_error=sol.bc_error, el_residual=sol.el_residual, y_norm=float(np.linalg.norm(y)),
@@ -472,17 +471,16 @@ def _descend(
                 break
             best_bc = min(best_bc, sol.bc_error)
             best_el = min(best_el, sol.el_residual)
-        y = y + mu * vee(ws._chain(x)[0][-1])
-    message = res.message
+        y = y + ws.mu * vee(ws._chain(x)[0][-1])
     if bc_open:
         return BCUnreachable(
             f"boundary error {sol.bc_error:.3e} (> bc_tol {tols.bc_tol:g}) after "
-            f"multiplier rounds (message: {message})",
+            f"multiplier rounds (message: {res.message})",
             last_solution=sol,
         ), y
     return NoDescent(
         f"stationarity certificate stalled at {sol.el_residual:.3e} "
-        f"(> el_tol {tols.el_tol:g}; descent message: {message})",
+        f"(> el_tol {tols.el_tol:g}; descent message: {res.message})",
         last_solution=sol,
     ), y
 
@@ -520,7 +518,7 @@ def solve(problem: OptimizationProblem) -> ControlSolution:
     ws = _Workspace(problem)
     grid = problem.grid
     if problem.lambda_inv == 0.0:
-        return ws.evaluate(np.zeros((grid.n_steps, 3)), 0.0)
+        return ws.evaluate(np.zeros((grid.n_steps, 3)))
 
     x, y, first_round, rounds = np.zeros((grid.n_steps, 3)), np.zeros(3), 0, ()
     if grid.n_steps >= 4 * COARSE_STEPS:

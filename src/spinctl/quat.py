@@ -401,14 +401,12 @@ def jl_transpose_apply(phi: np.ndarray, vec: np.ndarray) -> np.ndarray:
     theta = np.sqrt(theta2)
     small = theta < 1e-4
     with np.errstate(invalid="ignore", divide="ignore"):
-        c1 = np.where(small, 0.5 - theta2 / 24.0,
-                      (1.0 - np.cos(theta)) / np.where(theta2 == 0, 1.0, theta2))
-        c2 = np.where(
-            small,
-            1.0 / 6.0 - theta2 / 120.0,
-            (theta - np.sin(theta))
-            / np.where(theta2 == 0, 1.0, theta2 * np.where(theta == 0, 1.0, theta)),
-        )
+        c1 = (1.0 - np.cos(theta)) / theta2
+        c2 = (theta - np.sin(theta)) / (theta2 * theta)
+    if small.any():
+        t2 = theta2[small]
+        c1[small] = 0.5 - t2 / 24.0
+        c2[small] = 1.0 / 6.0 - t2 / 120.0
     # J_l(phi)^T v = v - c1 phi x v + c2 phi x (phi x v)
     pxv = cross3(phi, vec)
     return vec - c1[:, None] * pxv + c2[:, None] * cross3(phi, pxv)

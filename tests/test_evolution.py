@@ -16,7 +16,7 @@ from spinctl.evolution import (
     omega_from_triad,
     propagate_triad,
 )
-from spinctl.magnus import PurePath, TimeGrid, _central_diff, time_ordered_exp
+from spinctl.magnus import PurePath, TimeGrid, time_ordered_exp
 from spinctl.quat import E1, E2, E3, PureQuat, cross3, qconj, qexp_vec, quat_to_matrix, rotate
 
 from conftest import fourier_path, quat_tuple
@@ -55,7 +55,7 @@ def power(obj: TriadPath | ControlPath) -> PowerPath:
     if isinstance(obj, ControlPath):
         vals = np.sum(obj.omega_rot.values**2, axis=1)
     else:
-        vals = power_wedge(obj.values, _central_diff(obj.values, obj.grid.dt))
+        vals = power_wedge(obj.values, np.gradient(obj.values, obj.grid.dt, axis=0, edge_order=2))
     energy = cumulative_trapezoid(0.5 * vals, dx=obj.grid.dt, axis=0, initial=0)[-1]
     return PowerPath(obj.grid, vals, float(energy))
 

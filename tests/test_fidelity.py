@@ -171,6 +171,11 @@ class TestChebyshev:
     def test_clamps_rounding_noise(self):
         assert chebyshev_U(4, 1.0 + 5e-13) == pytest.approx(5.0, rel=1e-9)
 
+    @pytest.mark.parametrize("order", [-1, 2.0, 2.5])
+    def test_rejects_non_integer_or_negative_order(self, order):
+        with pytest.raises(ValueError, match="integer >= 0"):
+            chebyshev_U(order, 0.5)
+
 
 class TestMonteCarlo:
     def test_zero_strength_is_exact_unity(self, paper_kernel):

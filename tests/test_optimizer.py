@@ -137,20 +137,19 @@ class TestGradient:
     def test_adjoint_matches_finite_differences(self, kernel, paper_target):
         problem = paper_problem(kernel, paper_target, n_steps=24, lambda_inv=50.0)
         ws = _Workspace(problem)
+        ws.mu = 300.0
         rng = np.random.default_rng(5)
         x = rng.normal(0.0, 1.0, (24, 3))
         # without and with a multiplier on the loop defect
         for y in (np.zeros(3), np.array([40.0, -25.0, 60.0])):
-            _, grad = ws.objective(x.ravel(), 50.0, 300.0, y)
+            _, grad = ws.objective(x.ravel(), y)
             h = 1e-6
             for i in rng.integers(0, x.size, 10):
                 xp = x.ravel().copy()
                 xm = x.ravel().copy()
                 xp[i] += h
                 xm[i] -= h
-                fd = (
-                    ws.objective(xp, 50.0, 300.0, y)[0] - ws.objective(xm, 50.0, 300.0, y)[0]
-                ) / (2 * h)
+                fd = (ws.objective(xp, y)[0] - ws.objective(xm, y)[0]) / (2 * h)
                 assert grad[i] == pytest.approx(fd, rel=2e-6, abs=1e-10)
 
 
@@ -189,7 +188,7 @@ class TestObjectiveBits:
         rng = np.random.default_rng(17)
         x = rng.normal(0.0, 2.0, (n_steps, 3)).ravel()
         y = np.array([3.0, -1.5, 0.25])
-        j_val, grad = ws.objective(x, 10.0, 50.0, y)
+        j_val, grad = ws.objective(x, y)
         j_ref, grad_ref = unbatched_objective(ws, x, 10.0, 50.0, y)
         assert j_val == j_ref
         np.testing.assert_array_equal(grad, grad_ref)
@@ -200,7 +199,7 @@ class TestObjectiveBits:
         ws = _Workspace(paper_problem(paper_kernel, paper_target, n_steps=n_steps, lambda_inv=10.0))
         cells = np.random.default_rng(18).normal(0.0, 2.0, (n_steps, 3))
         rmats = quat_to_matrix(qprefix(qexp_vec(-0.5 * ws.dt * cells)))
-        sol = ws.evaluate(cells, 10.0)
+        sol = ws.evaluate(cells)
         np.testing.assert_array_equal(sol.triad.values, np.swapaxes(ws.amats @ rmats, 1, 2))
         assert sol.bc_error == float(np.linalg.norm(rmats[-1] - np.eye(3)))
 
@@ -258,13 +257,22 @@ class TestDriftBaseline:
         assert sol.el_residual == expect
         assert el_residual(sol, problem) == expect
 
+    def test_certificate_rejects_another_problem(self, paper_kernel, paper_target):
+        problem = paper_problem(paper_kernel, paper_target, n_steps=16, lambda_inv=10.0)
+        sol = evaluate_deviation(problem, np.zeros((16, 3)))
+        with pytest.raises(ValueError, match="is not the solution's"):
+            el_residual(sol, replace(problem, lambda_inv=20.0))
+        # 15 steps have 16 nodes: the solution's 16 cells must not be read as nodal values
+        with pytest.raises(ValueError, match="is not the solution's"):
+            el_residual(sol, paper_problem(paper_kernel, paper_target, n_steps=15, lambda_inv=10.0))
+
     def test_solve_evaluates_one_certificate_per_round(self, paper_kernel, paper_target, monkeypatch):
         calls = []
         inner = _Workspace.el_residual
 
-        def counting(self, cells, lam_inv):
+        def counting(self, cells):
             calls.append(1)
-            return inner(self, cells, lam_inv)
+            return inner(self, cells)
 
         monkeypatch.setattr(_Workspace, "el_residual", counting)
         sol = solve(paper_problem(paper_kernel, paper_target, n_steps=256, lambda_inv=1.0))
