@@ -273,8 +273,8 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> list[dict]:
-    """Write the CSV and return its rows as report rows keyed by the header."""
+def _write_csv(path: Path, header: list[str], rows) -> list[dict]:
+    """Write the CSV of ``rows`` (lists or a 2-d array) and return them as report rows keyed by the header."""
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n", newline="\n")
@@ -287,7 +287,7 @@ def _spin_label(two_s: int) -> str:
 
 def _run_kernel_table(config: RunConfig, out: Path):
     svals = np.linspace(0.0, config.tau, config.table_points)
-    rows = [[s, nxx] for s, nxx in zip(svals, config.kernel.matrix_batch(svals)[:, 0, 0])]
+    rows = np.column_stack((svals, config.kernel.matrix_batch(svals)[:, 0, 0]))
     return _write_csv(out / "kernel.csv", ["s", "N_xx"], rows), {}
 
 
@@ -394,23 +394,17 @@ def _failure_row(exc: SolveFailed) -> dict:
 
 def _run_solve(config: RunConfig, out: Path):
     lam = config.lambda_inv[0]
-    problem = _problem(config, lam)
-    grid = problem.grid
     try:
-        sol = solve(problem)
+        sol = solve(_problem(config, lam))
     except SolveFailed as exc:
         return [_failure_row(exc)], {}
-    t = grid.nodes
+    t = sol.triad.grid.nodes
     lab = sol.control.omega_lab.values
     dom = sol.delta_omega.values
-    rows = [
-        [t[k], lab[k, 0], lab[k, 1], lab[k, 2], dom[k, 0], dom[k, 1], dom[k, 2]]
-        for k in range(grid.n_nodes)
-    ]
     _write_csv(
         out / "controls.csv",
         ["t", "omega_x", "omega_y", "omega_z", "d_omega_x", "d_omega_y", "d_omega_z"],
-        rows,
+        np.column_stack((t, lab, dom)),
     )
     record = _solution_record(config, sol)
     archive = {

@@ -58,7 +58,7 @@ class TriadPath:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=float))
+        v = np.array(self.values, dtype=float, order="C")  # a copy: the caller's array stays the caller's
         if v.shape != (self.grid.n_nodes, 3, 3):
             raise ValueError(f"triad values must have shape ({self.grid.n_nodes}, 3, 3)")
         if not np.all(np.isfinite(v)):

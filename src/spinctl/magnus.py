@@ -4,9 +4,9 @@ Given a pure-quaternion field n(t) sampled on a uniform grid, the ordered
 product T exp((eps/2) int n dt) equals exp((eps/2) m(tau)) for a single
 rotation vector m(t).  This module provides:
 
-* ``time_ordered_exp`` -- the ordered midpoint product, computed by tree
-  reduction (still the oracle discretization everything else is checked
-  against),
+* ``ordered_exp_batch`` -- the ordered midpoint product of a batch of
+  fields, computed by tree reduction (the oracle discretization everything
+  else is checked against); ``time_ordered_exp`` is its one-path case,
 * ``solve_m_ode``      -- the exact first-order ODE for m(t), an all-orders
   resummation of the perturbative (Magnus-type) series, stepped in floats;
   ``solve_m_ode_batch`` steps many (path, eps) lanes of it together, with
@@ -94,7 +94,7 @@ class PurePath:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=float))
+        v = np.array(self.values, dtype=float, order="C")  # a copy: the caller's array stays the caller's
         if v.shape != (self.grid.n_nodes, 3):
             raise ValueError(f"values must have shape ({self.grid.n_nodes}, 3), got {v.shape}")
         if not np.all(np.isfinite(v)):
@@ -108,34 +108,29 @@ class PurePath:
 # ---------------------------------------------------------------------------
 
 
-def time_ordered_exp(n: PurePath, epsilon) -> UnitQuat:
-    """Ordered product of per-step factors exp((eps/2) n(t*) dt), later steps left.
+def ordered_exp_batch(values: np.ndarray, epsilon, dt: float, out=None) -> np.ndarray:
+    """Ordered product of per-step factors exp((eps/2) n(t*) dt), later steps left, for a batch of fields.
 
     Midpoint sampling t* = (t_k + t_{k+1})/2 with the field linearly
     interpolated between nodes; converges at second order in dt.  This is
     the oracle discretization, evaluated by tree reduction (``qproduct``).
-    """
-    v = n.values
-    steps = qexp_vec(0.25 * float(epsilon) * n.grid.dt * (v[:-1] + v[1:]))
-    return UnitQuat.normalized(*(float(c) for c in qproduct(steps)))
-
-
-def ordered_exp_batch(values: np.ndarray, epsilon, dt: float, out=None) -> np.ndarray:
-    """Ordered midpoint product for a batch of sampled fields.
-
     ``values`` has shape (batch, n_nodes, 3), any layout; component-major
     memory (3, n_nodes, batch) is the fast one.  Returns unit quaternions
-    of shape (batch, 4).  Same discretization as ``time_ordered_exp``.
-    The node sums are added straight into one component-major step array
-    of the whole batch and the step exponents built there in place, so the
-    Monte Carlo pipeline passes one block of paths at a time; ``out``
-    (batch, n_nodes - 1, 4) may pass that step array, to be overwritten, so
-    a caller reuses it from block to block.
+    of shape (batch, 4).  The node sums are added straight into one
+    component-major step array of the whole batch and the step exponents
+    built there in place, so the Monte Carlo pipeline passes one block of
+    paths at a time; ``out`` (batch, n_nodes - 1, 4) may pass that step
+    array, to be overwritten, so a caller reuses it from block to block.
     """
     steps = np.empty((len(values), values.shape[1] - 1, 4), order="F") if out is None else out
     v = np.add(values[:, :-1, :], values[:, 1:, :], out=steps[..., 1:])
     v *= 0.25 * float(epsilon) * dt
     return qproduct(qexp_vec(v, out=steps))
+
+
+def time_ordered_exp(n: PurePath, epsilon) -> UnitQuat:
+    """``ordered_exp_batch`` of the one path ``n``."""
+    return UnitQuat.normalized(*(float(c) for c in ordered_exp_batch(n.values[None], epsilon, n.grid.dt)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -239,35 +234,14 @@ def _m_rhs(nx, ny, nz, mx, my, mz, half_eps, eps2):
     )
 
 
-def _rk4_m(values: np.ndarray, eps: float, dt: float):
-    """Classic RK4 for the rotation-vector equation of one path from m(0) = 0; yields m after each step.
-
-    The field is taken at the start, cubic midpoint and end of each step.
-    """
-    coef = (0.5 * eps, eps * eps)
-    mx = my = mz = 0.0
-    h2 = 0.5 * dt
-    h6 = dt / 6.0
-    pts = values.tolist()
-    steps = zip(pts, _interval_midpoints(values).tolist(), pts[1:])
-    for (n0x, n0y, n0z), (nmx, nmy, nmz), (n1x, n1y, n1z) in steps:
-        k1 = _m_rhs(n0x, n0y, n0z, mx, my, mz, *coef)
-        k2 = _m_rhs(nmx, nmy, nmz, mx + h2 * k1[0], my + h2 * k1[1], mz + h2 * k1[2], *coef)
-        k3 = _m_rhs(nmx, nmy, nmz, mx + h2 * k2[0], my + h2 * k2[1], mz + h2 * k2[2], *coef)
-        k4 = _m_rhs(n1x, n1y, n1z, mx + dt * k3[0], my + dt * k3[1], mz + dt * k3[2], *coef)
-        mx = mx + h6 * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-        my = my + h6 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-        mz = mz + h6 * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
-        yield mx, my, mz
-
-
 def solve_m_ode(n: PurePath, epsilon) -> PurePath:
     """Integrate the exact rotation-vector equation from m(0) = 0.
 
     The returned path m(t) satisfies
     exp((eps/2) m(t)) = T exp((eps/2) int_0^t n dt) at every node, i.e. it is
     the all-orders resummation of the perturbative series.  Classic
-    fourth-order Runge-Kutta with cubic midpoint interpolation of n.
+    fourth-order Runge-Kutta, with the field taken at the start, cubic
+    midpoint (``_interval_midpoints``) and end of each step.
 
     Raises
     ------
@@ -277,11 +251,24 @@ def solve_m_ode(n: PurePath, epsilon) -> PurePath:
         the continuation ambiguous.
     """
     eps = float(epsilon)
-    out = [(0.0, 0.0, 0.0)]
-    for t, m in zip(n.grid.nodes[1:].tolist(), _rk4_m(n.values, eps, n.grid.dt)):
-        mx, my, mz = m
+    coef = (0.5 * eps, eps * eps)
+    dt = n.grid.dt
+    h2 = 0.5 * dt
+    h6 = dt / 6.0
+    mx = my = mz = 0.0
+    out = [(mx, my, mz)]
+    pts = n.values.tolist()
+    steps = zip(n.grid.nodes[1:].tolist(), pts, _interval_midpoints(n.values).tolist(), pts[1:])
+    for t, (n0x, n0y, n0z), (nmx, nmy, nmz), (n1x, n1y, n1z) in steps:
+        k1 = _m_rhs(n0x, n0y, n0z, mx, my, mz, *coef)
+        k2 = _m_rhs(nmx, nmy, nmz, mx + h2 * k1[0], my + h2 * k1[1], mz + h2 * k1[2], *coef)
+        k3 = _m_rhs(nmx, nmy, nmz, mx + h2 * k2[0], my + h2 * k2[1], mz + h2 * k2[2], *coef)
+        k4 = _m_rhs(n1x, n1y, n1z, mx + dt * k3[0], my + dt * k3[1], mz + dt * k3[2], *coef)
+        mx = mx + h6 * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
+        my = my + h6 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
+        mz = mz + h6 * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
         _check_cot_guard(abs(eps) * math.sqrt(mx * mx + my * my + mz * mz), t)
-        out.append(m)
+        out.append((mx, my, mz))
     return PurePath(n.grid, out)
 
 
@@ -410,13 +397,6 @@ def n_of_m(m: PurePath, epsilon) -> PurePath:
 # ---------------------------------------------------------------------------
 # Perturbative orders and fixed-point iteration
 # ---------------------------------------------------------------------------
-
-
-def _trapezoid_weights(n_nodes: int, dt: float) -> np.ndarray:
-    """Trapezoid quadrature weights on a uniform grid of ``n_nodes`` nodes."""
-    w = np.full(n_nodes, dt)
-    w[0] = w[-1] = 0.5 * dt
-    return w
 
 
 def magnus_term(n: PurePath, order: int) -> PurePath:

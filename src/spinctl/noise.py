@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotPSD
-from .magnus import TimeGrid, _trapezoid_weights
+from .magnus import TimeGrid
 
 __all__ = [
     "NoiseKernel",
@@ -169,6 +169,13 @@ class DiagonalConstant(NoiseKernel):
 
     def lag_slopes_at_zero(self) -> np.ndarray:
         return np.zeros(3)
+
+
+def _trapezoid_weights(n_nodes: int, dt: float) -> np.ndarray:
+    """Trapezoid quadrature weights on a uniform grid of ``n_nodes`` nodes."""
+    w = np.full(n_nodes, dt)
+    w[0] = w[-1] = 0.5 * dt
+    return w
 
 
 def _embed(cols: np.ndarray, m: int) -> np.ndarray:

@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import BCUnreachable, NoDescent, SolveFailed
 from .evolution import ControlPath, TargetRotation, TriadPath, drift_for_target
+from .fidelity import action_S
 from .magnus import PurePath, TimeGrid
 from .noise import LagConvolution, NoiseKernel
 from .quat import cross3, jl_transpose_apply, qexp_vec, qprefix, quat_to_matrix, vee
@@ -258,11 +259,6 @@ class _Workspace:
         return LagConvolution.cells(self.problem.kernel, self.n - 1, self.dt)
 
     @cached_property
-    def nodes_conv(self) -> LagConvolution:
-        """Nodal trapezoid convolution of the reported action."""
-        return LagConvolution.nodes(self.problem.kernel, self.problem.grid)
-
-    @cached_property
     def certificate(self) -> "_Workspace":
         """This workspace on the grid CERTIFICATE_REFINE times finer, where the certificate is evaluated."""
         problem = self.problem
@@ -380,8 +376,7 @@ class _Workspace:
         control = ControlPath(grid, PurePath(grid, omega_rot), PurePath(grid, omega_body))
         delta_omega = PurePath(grid, omega_body - self.drift[None, :])
 
-        # Reported action: nodal trapezoid, identical to the fidelity module's.
-        s_val = self.nodes_conv.action(lmats)[0]
+        s_val = action_S(lab_triad, self.problem.kernel)
         omega_cells = self.drift[None, :] + cells
         e_out = 0.5 * self.dt * float(np.sum(omega_cells * omega_cells))
         s_c = math.inf if lam_inv == 0.0 else s_val + e_out / lam_inv

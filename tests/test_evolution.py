@@ -293,3 +293,15 @@ class TestTriadPathType:
         triad = TriadPath(grid, np.broadcast_to(np.eye(3), (5, 3, 3)).copy())
         with pytest.raises(ValueError):
             triad.values[0, 0, 0] = 2.0
+
+    def test_values_are_its_own_copy(self):
+        # A view of a writable base: neither the base nor the view may be
+        # frozen, and a later write through the base must not reach the triad.
+        grid = TimeGrid(1.0, 4)
+        base = np.broadcast_to(np.eye(3), (2, 5, 3, 3)).copy()
+        view = base[0]
+        triad = TriadPath(grid, view)
+        base[0, 0, 0, 0] = 7.0
+        assert triad.values[0, 0, 0] == 1.0
+        assert view.flags.writeable and base.flags.writeable
+        assert triad.values.flags.c_contiguous

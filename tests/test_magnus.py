@@ -19,7 +19,7 @@ from spinctl.magnus import (
     solve_m_ode_batch,
     time_ordered_exp,
 )
-from spinctl.quat import PureQuat, qexp, qexp_vec, qproduct
+from spinctl.quat import PureQuat, UnitQuat, qexp, qexp_vec, qproduct, umul
 
 from conftest import fourier_path, quat_tuple
 
@@ -65,6 +65,21 @@ class TestTimeGrid:
     def test_bad_step_count_rejected(self, n_steps):
         with pytest.raises(ValueError, match="n_steps must be an integer >= 2"):
             TimeGrid(1.0, n_steps)
+
+
+class TestPurePath:
+    def test_values_are_its_own_copy(self):
+        # A view of a writable base: neither the base nor the view may be
+        # frozen, and a later write through the base must not reach the path.
+        grid = TimeGrid(1.0, 4)
+        base = np.zeros((2, 5, 3))
+        view = base[0]
+        path = PurePath(grid, view)
+        base[0, 0, 0] = 7.0
+        assert path.values[0, 0] == 0.0
+        assert view.flags.writeable and base.flags.writeable
+        with pytest.raises(ValueError):
+            path.values[0, 0] = 1.0
 
 
 class TestTimeOrderedExp:
@@ -119,14 +134,17 @@ class TestTimeOrderedExp:
             assert abs(u.w) <= 1.0 + 1e-12
 
     def test_batch_matches_scalar(self):
+        # Reference: the midpoint steps multiplied one at a time in scalar
+        # quaternions, later steps on the left.
         grid = TimeGrid(1.0, 300)
         rng = np.random.default_rng(23)
         paths = [random_smooth_path(grid, rng) for _ in range(5)]
         batch = ordered_exp_batch(np.stack([p.values for p in paths]), 0.8, grid.dt)
         for k, p in enumerate(paths):
-            np.testing.assert_allclose(
-                batch[k], quat_tuple(time_ordered_exp(p, 0.8)), atol=1e-12
-            )
+            u = UnitQuat(1.0, 0.0, 0.0, 0.0)
+            for a, b in zip(p.values[:-1], p.values[1:]):
+                u = umul(qexp(PureQuat(*(0.25 * 0.8 * grid.dt * (a + b)).tolist())), u)
+            np.testing.assert_allclose(batch[k], quat_tuple(u), atol=1e-12)
 
     @pytest.mark.parametrize("n_paths", [1, 6])
     def test_batch_component_major_view_matches_c_order(self, n_paths):

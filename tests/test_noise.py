@@ -9,7 +9,7 @@ from scipy.linalg import circulant, toeplitz
 from spinctl.errors import DomainError, NotPSD
 from spinctl.evolution import TriadPath
 from spinctl.fidelity import action_S
-from spinctl.magnus import TimeGrid, _trapezoid_weights
+from spinctl.magnus import TimeGrid
 from spinctl.noise import (
     CovarianceOperator,
     DiagonalConstant,
@@ -20,6 +20,7 @@ from spinctl.noise import (
     exp_integral_e1,
     sample_block,
     _path_normals,
+    _trapezoid_weights,
 )
 from spinctl.optimizer import OptimizationProblem, _Workspace
 

@@ -130,6 +130,16 @@ class TestNames:
             stale += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
         assert stale == []
 
+    def test_no_module_imports_another_modules_private_name(self):
+        # A private name has one owner; a second user means it lives in the wrong module.
+        borrowed = []
+        for path in self.MODULES:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("spinctl")):
+                    borrowed += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                                 if alias.name.startswith("_") and not alias.name.endswith("__")]
+        assert borrowed == []
+
     def test_every_export_resolves(self):
         missing = []
         for path in self.MODULES:
