@@ -29,7 +29,6 @@ from .errors import (  # noqa: F401
     DegenerateSample,
     DomainError,
     NoDescent,
-    NonConvergence,
     NotPSD,
     SingularCot,
     SolveFailed,

@@ -16,7 +16,8 @@ fixed config and seed: CSV bodies are byte-identical across runs, and only
 solver's per-round record (``rounds``) in each ``solve`` and ``sweep`` row
 and each error row.
 
-Exit status: 0 ok, 1 config error, 2 solver failure (a failed solve, sweep
+Exit status: 0 ok, 1 config error (also a bad command line or an output
+directory that cannot be created), 2 solver failure (a failed solve, sweep
 point or ``mc-validate`` baseline, each named on stderr and recorded as an
 ``error`` row of ``report.json``).
 """
@@ -456,11 +457,15 @@ def run(config: RunConfig) -> RunReport:
     """Execute one experiment and write its artifacts.
 
     Output directory resolution: SPINCTL_OUT environment variable first,
-    then the config's ``out_dir``.  Returns the report that was also
-    written as report.json.
+    then the config's ``out_dir``; a directory that cannot be created is a
+    ``ConfigError``, raised before anything is computed.  Returns the
+    report that was also written as report.json.
     """
     out = Path(os.environ.get("SPINCTL_OUT") or config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"cannot create output directory {out}: {exc}"]) from exc
     start = time.perf_counter()
     runner = {
         "solve": _run_solve,
@@ -481,40 +486,44 @@ def run(config: RunConfig) -> RunReport:
     return report
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are config errors (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigError([message])
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="spinctl", description=__doc__)
+    parser = _Parser(prog="spinctl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for kind in KINDS:
         p = sub.add_parser(kind, help=f"run a '{kind}' config")
         p.add_argument("config", help="path to the JSON run configuration")
         p.add_argument("--grid", type=int, default=None, help="override grid_steps")
-    args = parser.parse_args(argv)
 
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
-        return 1
-
-    try:
+        args = parser.parse_args(argv)
+        try:
+            text = Path(args.config).read_text()
+        except OSError as exc:
+            raise ConfigError([f"cannot read {args.config}: {exc}"]) from exc
         config = validate_config(text)
         if config.kind != args.command:
             raise ConfigError(
                 [f"config kind '{config.kind}' does not match subcommand '{args.command}'"]
             )
         if args.grid is not None:
-            config = replace(config, grid_steps=_GRID(args.grid, "--grid"))
+            grid = _GRID(args.grid, "--grid")
+            config = replace(config, grid_steps=grid, echo={**config.echo, "grid_steps": grid})
             if "grid_steps" not in _TABLES[config.kind]:
                 raise ConfigError([f"--grid is not used by kind '{config.kind}'"])
+        report = run(config)
     except ConfigError as exc:
         for d in exc.diagnostics:
             print(f"config error: {d}", file=sys.stderr)
         return 1
-
-    try:
-        report = run(config)
     except SpinctlError as exc:
-        print(f"solver failure in stage '{config.kind}': {exc}", file=sys.stderr)
+        print(f"solver failure in stage '{args.command}': {exc}", file=sys.stderr)
         return 2
     failed = [row for row in report.rows if "error" in row]
     for row in failed:

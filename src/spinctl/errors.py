@@ -31,14 +31,6 @@ class UnsupportedOrder(SpinctlError):
     """Requested expansion order is not implemented."""
 
 
-class NonConvergence(SpinctlError):
-    """Fixed-point iteration diverged (step changes grew repeatedly)."""
-
-    def __init__(self, message, changes=None):
-        super().__init__(message)
-        self.changes = list(changes) if changes is not None else None
-
-
 class NotPSD(SpinctlError):
     """A covariance's circulant embedding has a spectrum negative beyond rounding."""
 

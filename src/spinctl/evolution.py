@@ -162,6 +162,8 @@ class TargetRotation:
         angle = float(angle)
         if not math.isfinite(angle) or angle < 0.0:
             raise ValueError("angle must be finite and >= 0")
+        if not (abs(winding) < math.inf and int(winding) == winding):
+            raise ValueError(f"winding must be an integer, got {winding!r}")
         turns = math.floor(angle / _TWO_PI)
         theta = angle - _TWO_PI * turns
         winding = int(winding) + turns

@@ -12,8 +12,7 @@ rotation vector m(t).  This module provides:
   ``solve_m_ode_batch`` steps many (path, eps) lanes of it together, with
   the same bits, on ring rows (x, y, z, x, y) of lane arrays, so that a
   cross product or any other vector operation is one numpy call,
-* ``magnus_term``      -- individual perturbative orders 0..2,
-* ``magnus_iterate``   -- fixed-point iteration of the exact equation.
+* ``magnus_term``      -- individual perturbative orders 0..2.
 """
 
 from __future__ import annotations
@@ -21,11 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonConvergence, SingularCot, UnsupportedOrder
+from .errors import SingularCot, UnsupportedOrder
 from .quat import UnitQuat, cross3, jl_transpose_apply, qexp_vec, qproduct
 
 __all__ = [
@@ -36,8 +34,6 @@ __all__ = [
     "solve_m_ode_batch",
     "n_of_m",
     "magnus_term",
-    "magnus_iterate",
-    "MagnusIterateResult",
     "random_smooth_path",
 ]
 
@@ -277,11 +273,6 @@ def solve_m_ode(n: PurePath, epsilon) -> PurePath:
 # one numpy call over all components.
 
 
-def _ring(a: np.ndarray) -> np.ndarray:
-    """Ring rows of the component rows (x, y, z) on axis 0 of ``a``."""
-    return np.concatenate((a, a[:2]))
-
-
 def _ring_m2(m: np.ndarray) -> np.ndarray:
     """|m|^2 of ring rows, summed as mx*mx + my*my + mz*mz."""
     sq = m[:3] * m[:3]
@@ -313,7 +304,7 @@ def _ring_rhs(n: np.ndarray, m: np.ndarray, half_eps, eps2, m2=None) -> np.ndarr
     d -= n[:3] * m2
     d *= f
     c += d
-    return _ring(c)
+    return np.concatenate((c, c[:2]))
 
 
 _CHUNK_STEPS = 128  # steps whose field samples are expanded to lane rings at once
@@ -395,7 +386,7 @@ def n_of_m(m: PurePath, epsilon) -> PurePath:
 
 
 # ---------------------------------------------------------------------------
-# Perturbative orders and fixed-point iteration
+# Perturbative orders
 # ---------------------------------------------------------------------------
 
 
@@ -425,57 +416,6 @@ def magnus_term(n: PurePath, order: int) -> PurePath:
     inner2 = np.einsum("kab,kb->ka", outer, v) - scal[:, None] * v
     piece2 = cumulative_trapezoid(inner2, dx=dt, axis=0, initial=0)
     return PurePath(n.grid, (piece1 + piece2) / 6.0)
-
-
-class MagnusIterateResult(NamedTuple):
-    """Fixed-point iterate plus the sup-norm change of the final step."""
-
-    path: PurePath
-    final_change: float
-
-
-def magnus_iterate(n: PurePath, epsilon, iterations: int) -> MagnusIterateResult:
-    """Solve the exact rotation-vector equation by fixed-point iteration.
-
-    Iterate 0 is the running integral of n; each subsequent iterate
-    re-integrates the exact right-hand side evaluated on the previous one.
-    Unlike the order-by-order expansion, every iterate beyond the first
-    mixes all orders of the strength parameter.
-
-    Raises
-    ------
-    NonConvergence
-        If the sup-norm step change grows for three consecutive iterations
-        (the iterates can oscillate for very strong fields).
-    """
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
-    from scipy.integrate import cumulative_trapezoid  # see magnus_term
-    eps = float(epsilon)
-    v = n.values
-    dt = n.grid.dt
-
-    v_ring = _ring(v.T)
-    cur = cumulative_trapezoid(v, dx=dt, axis=0, initial=0)
-    change = math.inf
-    changes: list[float] = []
-    grew = 0
-    for _ in range(iterations):
-        rhs = _ring_rhs(v_ring, _ring(cur.T), 0.5 * eps, eps * eps)
-        nxt = cumulative_trapezoid(rhs[:3].T, dx=dt, axis=0, initial=0)
-        change = float(np.max(np.sqrt(np.sum((nxt - cur) ** 2, axis=1))))
-        if changes and change > changes[-1]:
-            grew += 1
-            if grew >= 3:
-                raise NonConvergence(
-                    f"iterate changes grew for 3 consecutive steps: {changes[-2:] + [change]}",
-                    changes=changes + [change],
-                )
-        else:
-            grew = 0
-        changes.append(change)
-        cur = nxt
-    return MagnusIterateResult(PurePath(n.grid, cur), change if iterations > 0 else 0.0)
 
 
 def random_smooth_path(

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinctl import fidelity
+from spinctl import cli, fidelity
 from spinctl.cli import RunConfig, main, run, validate_config
 from spinctl.errors import ConfigError
 from spinctl.magnus import TimeGrid, random_smooth_path, solve_m_ode, time_ordered_exp
@@ -494,6 +494,49 @@ class TestMainEntry:
         assert main(["magnus-check", str(path), "--grid", "16"]) == 0
         lines = (tmp_path / "out" / "magnus.csv").read_text().splitlines()
         assert lines[1].split(",")[2] == "16"
+
+    def test_report_echoes_grid_override(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SPINCTL_OUT", str(tmp_path / "out"))
+        path = write_config(tmp_path, SMALL_MAGNUS)
+        assert main(["magnus-check", str(path), "--grid", "40"]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["config"]["grid_steps"] == 40
+        assert {row["n_steps"] for row in report["rows"]} == {40}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["magnus-check", "CFG", "--grid", "abc"], ["magnus-check"], ["bogus", "CFG"]],
+        ids=["bad-grid", "no-config", "bad-command"],
+    )
+    def test_usage_error_is_config_error(self, tmp_path, capsys, argv):
+        path = write_config(tmp_path, SMALL_MAGNUS)
+        assert main([str(path) if a == "CFG" else a for a in argv]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+
+    @pytest.mark.parametrize("where", ["SPINCTL_OUT", "out_dir"])
+    def test_uncreatable_output_directory_is_config_error(self, tmp_path, monkeypatch, capsys, where):
+        # SPINCTL_OUT names a file; out_dir lies under one.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        payload = SMALL_MAGNUS
+        if where == "SPINCTL_OUT":
+            monkeypatch.setenv("SPINCTL_OUT", str(blocker))
+        else:
+            monkeypatch.delenv("SPINCTL_OUT", raising=False)
+            payload = dict(SMALL_MAGNUS, out_dir=str(blocker / "out"))
+        monkeypatch.setattr(cli, "_run_magnus_check", lambda *args: pytest.fail("ran before creating the output"))
+        path = write_config(tmp_path, payload)
+        assert main(["magnus-check", str(path)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: cannot create output directory ")
+        assert captured.out == ""
 
     def test_grid_rejected_where_unused(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SPINCTL_OUT", str(tmp_path / "out"))

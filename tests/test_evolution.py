@@ -244,6 +244,15 @@ class TestTargetsAndBoundaries:
         with pytest.raises(AxisRequired):
             drift_for_target(tgt, 1.0)
 
+    @pytest.mark.parametrize("winding", [1.5, math.inf, math.nan])
+    def test_non_integer_winding_rejected(self, winding):
+        with pytest.raises(ValueError, match="winding must be an integer"):
+            TargetRotation.from_axis_angle([1, 0, 0], 1.0, winding=winding)
+
+    def test_integral_float_winding_accepted(self):
+        tgt = TargetRotation.from_axis_angle([1, 0, 0], 1.0, winding=2.0)
+        assert tgt.winding == 2 and isinstance(tgt.winding, int)
+
     @pytest.mark.parametrize("winding", [-2, -1, 0, 1, 2])
     def test_drift_meets_boundaries_in_every_sector(self, winding):
         tgt = TargetRotation.from_axis_angle([1, 2, 2], 1.1, winding=winding)

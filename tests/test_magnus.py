@@ -3,14 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_trapezoid
 
 from spinctl import fidelity, magnus
-from spinctl.errors import NonConvergence, SingularCot, UnsupportedOrder
+from spinctl.errors import SingularCot, UnsupportedOrder
 from spinctl.magnus import (
     PurePath,
     TimeGrid,
-    magnus_iterate,
     magnus_term,
     n_of_m,
     ordered_exp_batch,
@@ -380,59 +378,6 @@ class TestMagnusTerms:
         n = PurePath(grid, np.zeros((grid.n_nodes, 3)))
         with pytest.raises(UnsupportedOrder):
             magnus_term(n, 3)
-
-
-class TestMagnusIterate:
-    def test_zero_iterations_is_integral(self):
-        grid = TimeGrid(1.0, 300)
-        rng = np.random.default_rng(26)
-        n = random_smooth_path(grid, rng)
-        res = magnus_iterate(n, 0.5, 0)
-        np.testing.assert_array_equal(res.path.values, magnus_term(n, 0).values)
-        assert res.final_change == 0.0
-
-    def test_commuting_field_fixed_point(self):
-        grid = TimeGrid(1.0, 300)
-        axis = np.array([0.0, 0.0, 1.0])
-        n = PurePath(grid, np.outer(np.sin(4.0 * grid.nodes), axis))
-        res = magnus_iterate(n, 0.8, 1)
-        np.testing.assert_allclose(res.path.values, magnus_term(n, 0).values, atol=1e-12)
-        assert res.final_change < 1e-12
-
-    def test_converges_to_ode_solution(self):
-        grid = TimeGrid(1.0, 10_000)
-        n = rotating_field(grid)
-        res = magnus_iterate(n, 0.5, 12)
-        ode = solve_m_ode(n, 0.5)
-        assert np.max(np.abs(res.path.values - ode.values)) < 1e-6
-
-    def test_tan_branch_iterate_bit_identical(self):
-        # a per-entry scalar h is the reference; eps*|m| passes 1/2 here
-        grid = TimeGrid(3.0, 500)
-        n = random_smooth_path(grid, np.random.default_rng(3), amplitude=0.5)
-        eps, v = 1.5, n.values
-        cur = cumulative_trapezoid(v, dx=grid.dt, axis=0, initial=0)
-        for _ in range(8):
-            m2 = np.sum(cur * cur, axis=1)
-            y2 = eps * eps * m2
-            h = np.array([magnus._h_of_y2(x) for x in y2])
-            assert np.array_equal(magnus._h_of_y2_lanes(y2), h)
-            mdotn = np.sum(cur * v, axis=1)
-            rhs = (
-                v
-                - 0.5 * eps * np.cross(cur, v)
-                + (eps * eps * h)[:, None] * (cur * mdotn[:, None] - v * m2[:, None])
-            )
-            cur = cumulative_trapezoid(rhs, dx=grid.dt, axis=0, initial=0)
-        assert np.max(y2) > magnus._H_SERIES_CUT2
-        assert np.array_equal(magnus_iterate(n, eps, 8).path.values, cur)
-
-    def test_nonconvergence_detected(self):
-        grid = TimeGrid(1.0, 400)
-        rng = np.random.default_rng(27)
-        n = random_smooth_path(grid, rng, amplitude=3.0)
-        with pytest.raises(NonConvergence):
-            magnus_iterate(n, 25.0, 60)
 
 
 class TestBernoulli:

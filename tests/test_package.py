@@ -140,6 +140,16 @@ class TestNames:
                                  if alias.name.startswith("_") and not alias.name.endswith("__")]
         assert borrowed == []
 
+    def test_every_error_class_is_used(self):
+        # __init__ only re-exports; an error type that no other module names is dead.
+        errors = Path(spinctl.__file__).with_name("errors.py").read_text()
+        classes = {node.name for node in ast.parse(errors).body if isinstance(node, ast.ClassDef)}
+        named = set()
+        for path in self.MODULES:
+            if path.name not in ("__init__.py", "errors.py"):
+                named |= {node.id for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Name)}
+        assert sorted(classes - named) == []
+
     def test_every_export_resolves(self):
         missing = []
         for path in self.MODULES:
