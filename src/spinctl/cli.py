@@ -195,7 +195,17 @@ _KERNEL = _nested("kernel", {
         "kappa": (_Rule(float, 0.0, shape="vec3"), _REQ),
     }),
 }, tag="type")
-_TARGET = _nested("target", {None: (TargetRotation.from_axis_angle, {
+
+
+def _target(axis, angle, winding) -> TargetRotation:
+    """``TargetRotation.from_axis_angle``, rejecting a target of whole turns with no axis: no drift reaches it."""
+    target = TargetRotation.from_axis_angle(axis, angle, winding)
+    if target.axis is None and target.winding:
+        raise ValueError("winding a zero-angle target requires a nonzero axis")
+    return target
+
+
+_TARGET = _nested("target", {None: (_target, {
     "axis": (_VEC3, _REQ),
     "angle": (_NONNEG, _REQ),
     "winding": (_Rule(int), 0),
@@ -233,8 +243,8 @@ def validate_config(raw_text: str) -> RunConfig:
     "required"; a key the kind does not read, or that no kind knows, is an
     error.  The kernel and target constructors check their cross-field
     rules; ``refine_steps`` must be 0 (no refinement) or a grid of >= 2
-    steps, and a sweep's ``lambda_inv`` must start at 0 and increase
-    strictly.
+    steps, each ``epsilon`` must have a finite square, and a sweep's
+    ``lambda_inv`` must start at 0 and increase strictly.
 
     Raises
     ------
@@ -255,6 +265,8 @@ def validate_config(raw_text: str) -> RunConfig:
     values, diags = _check_object(body, _TABLES[kind], kind=kind)
     if values.get("refine_steps") == 1:
         diags.append("field 'refine_steps' must be 0 or >= 2")
+    if not all(math.isfinite(eps * eps) for eps in values.get("epsilon", ())):
+        diags.append("each entry of field 'epsilon' must have a finite square")
     lam = values.get("lambda_inv", ())
     if isinstance(lam, float):
         values["lambda_inv"] = (lam,)

@@ -167,6 +167,8 @@ class TargetRotation:
         turns = math.floor(angle / _TWO_PI)
         theta = angle - _TWO_PI * turns
         winding = int(winding) + turns
+        if abs(winding) >= 2**63:
+            raise ValueError("winding plus the angle's full turns must be < 2**63 in magnitude")
         ax = np.asarray(axis, dtype=float) if axis is not None else None
         if ax is not None:
             nrm = float(np.linalg.norm(ax))

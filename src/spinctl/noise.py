@@ -119,6 +119,8 @@ class OneOverF(NoiseKernel):
             raise ValueError("xi must be positive")
         if not (0.0 < self.gamma_lo < self.gamma_hi and math.isfinite(self.gamma_hi)):
             raise ValueError("cutoffs must be finite and satisfy 0 < gamma_lo < gamma_hi")
+        if not math.isfinite(self.xi * math.log(self.gamma_hi / self.gamma_lo)):
+            raise ValueError("the zero-lag value xi ln(gamma_hi/gamma_lo) must be finite")
         object.__setattr__(self, "axis", _unit_axis(self.axis))
 
     def scalar(self, s: float) -> float:

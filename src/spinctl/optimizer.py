@@ -69,7 +69,8 @@ FTOL = 1e-15
 GTOL_START = 1e-4
 GTOL_FACTOR = 100.0
 GTOL_FLOOR = 1e-10
-# Cap on multiplier rounds; a solve normally ends in three to five.
+# Cap on the round index of each grid's pass.  The benchmark solve (lambda_inv
+# = 10, n = 512) takes 9 rounds: 6 on COARSE_STEPS cells and 3 on its own grid.
 MAX_ROUNDS = 20
 # Grid of the first rounds of a solve on >= 4 * COARSE_STEPS cells (grid
 # sequencing; Betts, Practical Methods for Optimal Control, 2nd ed., 4.7).
@@ -428,19 +429,18 @@ def minimize(*args, **kwargs):
 
 
 def _descend(
-    ws: _Workspace, x: np.ndarray, y: np.ndarray, first_round: int, rounds: tuple[SolveRound, ...] = ()
-) -> tuple[ControlSolution | SolveFailed, np.ndarray]:
+    ws: _Workspace, x: np.ndarray, y: np.ndarray, first_round: int, rounds: list[SolveRound]
+) -> tuple[ControlSolution, np.ndarray, SolveFailed | None]:
     """Multiplier rounds on ``ws``'s grid from cells ``x`` and multiplier ``y``.
 
-    Round indices (and so gtol) start at ``first_round``; ``rounds`` are
-    earlier rounds that the outcome's record lists first.  Returns the
-    certified solution, or the ``SolveFailed`` that ended the rounds, with
-    the multiplier y where the rounds stopped.
+    Round indices (and so gtol) start at ``first_round``; each round is
+    appended to ``rounds``, the solve's record.  Returns the last solution,
+    the multiplier y where the rounds stopped, and None if that solution is
+    certified, else the ``SolveFailed`` that ended the rounds.
     """
     problem = ws.problem
     tols = problem.tolerances
     best_bc = best_el = math.inf
-    rounds = list(rounds)
     for k in range(first_round, MAX_ROUNDS):
         start = time.perf_counter()
         gtol = max(GTOL_FLOOR, GTOL_START / GTOL_FACTOR**k)
@@ -456,10 +456,10 @@ def _descend(
             seconds=time.perf_counter() - start, grid_steps=problem.grid.n_steps,
         ))
         sol = replace(sol, rounds=tuple(rounds))
-        bc_open = sol.bc_error > tols.bc_tol
-        el_open = sol.el_residual > tols.el_tol
+        bc_open = not sol.bc_error <= tols.bc_tol  # a NaN measure stays open
+        el_open = not sol.el_residual <= tols.el_tol
         if not (bc_open or el_open):
-            return sol, y
+            return sol, y, None
         if gtol == GTOL_FLOOR:  # progress is judged between floor rounds only
             progress = (bc_open and sol.bc_error < best_bc) or (el_open and sol.el_residual < best_el)
             if not progress:
@@ -468,16 +468,16 @@ def _descend(
             best_el = min(best_el, sol.el_residual)
         y = y + ws.mu * vee(ws._chain(x)[0][-1])
     if bc_open:
-        return BCUnreachable(
+        return sol, y, BCUnreachable(
             f"boundary error {sol.bc_error:.3e} (> bc_tol {tols.bc_tol:g}) after "
             f"multiplier rounds (message: {res.message})",
             last_solution=sol,
-        ), y
-    return NoDescent(
+        )
+    return sol, y, NoDescent(
         f"stationarity certificate stalled at {sol.el_residual:.3e} "
         f"(> el_tol {tols.el_tol:g}; descent message: {res.message})",
         last_solution=sol,
-    ), y
+    )
 
 
 def solve(problem: OptimizationProblem) -> ControlSolution:
@@ -488,14 +488,14 @@ def solve(problem: OptimizationProblem) -> ControlSolution:
     deviation at the fixed penalty weight MU / tau: each round is one
     quasi-Newton descent on the augmented Lagrangian, to a gtol tightening
     down to GTOL_FLOOR, then the multiplier update y <- y + mu vee(R_N).
-    The solve returns as soon as the terminal triad closes to ``bc_tol``
+    A pass ends as soon as the terminal triad closes to ``bc_tol``
     and the independent stationarity residual passes ``el_tol``.
 
-    A grid of at least 4 * COARSE_STEPS cells first runs the rounds on
-    COARSE_STEPS cells, where an evaluation is cheap; that run's last
-    iterate, certified or not, is resampled onto the problem grid and the
-    rounds continue there from round 1 with its multiplier.  Only the
-    problem grid's outcome counts.
+    The rounds run in one pass per grid: on COARSE_STEPS cells, where an
+    evaluation is cheap, if the problem grid has at least 4 * COARSE_STEPS
+    cells, then on the problem grid.  A later pass starts from the last
+    iterate before it, certified or not, resampled onto its cells, at
+    round 1 with its multiplier.  Only the last pass's outcome counts.
 
     Raises
     ------
@@ -508,24 +508,22 @@ def solve(problem: OptimizationProblem) -> ControlSolution:
 
     Both are ``SolveFailed`` and carry the last iterate as
     ``last_solution``; it and the returned solution record every round,
-    on either grid, in ``rounds``.
+    on every grid, in ``rounds``.
     """
-    ws = _Workspace(problem)
     grid = problem.grid
     if problem.lambda_inv == 0.0:
-        return ws.evaluate(np.zeros((grid.n_steps, 3)))
+        return _Workspace(problem).evaluate(np.zeros((grid.n_steps, 3)))
 
-    x, y, first_round, rounds = np.zeros((grid.n_steps, 3)), np.zeros(3), 0, ()
-    if grid.n_steps >= 4 * COARSE_STEPS:
-        coarse = _Workspace(replace(problem, grid=TimeGrid(problem.tau, COARSE_STEPS)))
-        outcome, y = _descend(coarse, np.zeros((COARSE_STEPS, 3)), y, 0)
-        last = outcome.last_solution if isinstance(outcome, SolveFailed) else outcome
-        x = _resample_cells(last.deviation_cells, coarse.problem.grid, grid.centers)
-        first_round, rounds = 1, last.rounds
-    outcome, _ = _descend(ws, x, y, first_round, rounds)
-    if isinstance(outcome, SolveFailed):
-        raise outcome
-    return outcome
+    grids = [TimeGrid(problem.tau, COARSE_STEPS), grid] if grid.n_steps >= 4 * COARSE_STEPS else [grid]
+    rounds: list[SolveRound] = []
+    x, y = np.zeros((grids[0].n_steps, 3)), np.zeros(3)
+    for i, g in enumerate(grids):
+        if i:  # continue from the previous pass's last iterate, on this grid's cells
+            x = _resample_cells(sol.deviation_cells, sol.triad.grid, g.centers)
+        sol, y, failure = _descend(_Workspace(replace(problem, grid=g)), x, y, min(i, 1), rounds)
+    if failure is not None:
+        raise failure
+    return sol
 
 
 def sweep_lambda(problem: OptimizationProblem, ladder) -> tuple[ControlSolution | SolveFailed, ...]:

@@ -140,6 +140,35 @@ class TestValidateConfig:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            ({"kind": "kernel-table", "tau": 1.0, "kernel": dict(PAPER_KERNEL, gamma_lo=1e-300, gamma_hi=1e300)},
+             "kernel: the zero-lag value xi ln(gamma_hi/gamma_lo) must be finite"),
+            ({"kind": "kernel-table", "tau": 1.0, "kernel": dict(PAPER_KERNEL, xi=1e308)},
+             "kernel: the zero-lag value xi ln(gamma_hi/gamma_lo) must be finite"),
+            (dict(SMALL_MC, target=dict(PAPER_TARGET, angle=1e300)),
+             "target: winding plus the angle's full turns must be < 2**63 in magnitude"),
+            (dict(SMALL_MAGNUS, epsilon=[1e200]), "each entry of field 'epsilon' must have a finite square"),
+            (dict(SMALL_MC, epsilon=[0.1, 1e200]), "each entry of field 'epsilon' must have a finite square"),
+            (dict(SMALL_MC, target={"axis": [0.0, 0.0, 0.0], "angle": 0.0, "winding": 1}),
+             "target: winding a zero-angle target requires a nonzero axis"),
+            (dict(SMALL_MC, target={"axis": [0.0, 0.0, 0.0], "angle": 2.0 * math.pi, "winding": 0}),
+             "target: winding a zero-angle target requires a nonzero axis"),
+        ],
+        ids=["gamma-ratio", "xi", "angle-turns", "epsilon-magnus", "epsilon-mc", "axisless-winding",
+             "axisless-full-turn"],
+    )
+    def test_unusable_value_is_one_config_error(self, tmp_path, monkeypatch, capsys, cfg, message):
+        # Finite inputs that no run can use: a derived value that overflows
+        # a float (the kernel's zero-lag value, the folded winding, eps**2),
+        # or a whole turn about no axis, which no drift makes.
+        monkeypatch.setenv("SPINCTL_OUT", str(tmp_path / "out"))
+        assert main([cfg["kind"], str(write_config(tmp_path, cfg))]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"config error: {message}"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "cfg, key",
         [
             (dict(SMALL_MAGNUS, kernel=PAPER_KERNEL), "kernel"),

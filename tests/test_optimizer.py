@@ -377,6 +377,15 @@ class TestSolveCertificates:
         assert type(err.value) is failure
         assert err.value.last_solution.lambda_inv == 1.0 and err.value.last_solution.rounds
 
+    def test_nan_certificate_does_not_certify(self, paper_kernel, monkeypatch):
+        # NaN compares False with any tolerance, so a NaN certificate must
+        # leave the loop open and end the rounds in a failure.
+        monkeypatch.setattr(_Workspace, "el_residual", lambda self, cells: math.nan)
+        problem = paper_problem(paper_kernel, cli_target(), n_steps=16, lambda_inv=1.0)
+        with pytest.raises(NoDescent) as err:
+            solve(problem)
+        assert math.isnan(err.value.last_solution.el_residual)
+
     def test_refine_consistency(self, solved_50):
         problem, sol = solved_50
         refined = refine_deviation(problem, sol.deviation_cells, 2048)
