@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, SolveFailed, SpinctlError
-from .evolution import TargetRotation
+from .evolution import TargetRotation, drift_for_target
 from .fidelity import SpinNumber, fidelity_weak, mc_fidelity_table
 from .magnus import PurePath, TimeGrid, random_smooth_path, solve_m_ode_batch, time_ordered_exp
 from .noise import DiagonalConstant, NoiseKernel, OneOverF
@@ -243,8 +243,9 @@ def validate_config(raw_text: str) -> RunConfig:
     "required"; a key the kind does not read, or that no kind knows, is an
     error.  The kernel and target constructors check their cross-field
     rules; ``refine_steps`` must be 0 (no refinement) or a grid of >= 2
-    steps, each ``epsilon`` must have a finite square, and a sweep's
-    ``lambda_inv`` must start at 0 and increase strictly.
+    steps, each ``epsilon`` and the drift rate (target angle with winding,
+    over ``tau``) must have a finite square, and a sweep's ``lambda_inv``
+    must start at 0 and increase strictly.
 
     Raises
     ------
@@ -267,6 +268,9 @@ def validate_config(raw_text: str) -> RunConfig:
         diags.append("field 'refine_steps' must be 0 or >= 2")
     if not all(math.isfinite(eps * eps) for eps in values.get("epsilon", ())):
         diags.append("each entry of field 'epsilon' must have a finite square")
+    rate = drift_for_target(values["target"], values["tau"]).norm() if {"target", "tau"} <= values.keys() else 0.0
+    if not math.isfinite(rate * rate):
+        diags.append("the drift rate of field 'target' over field 'tau' must have a finite square")
     lam = values.get("lambda_inv", ())
     if isinstance(lam, float):
         values["lambda_inv"] = (lam,)

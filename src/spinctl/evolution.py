@@ -41,6 +41,7 @@ __all__ = [
     "omega_from_triad",
     "boundary_triad",
     "drift_for_target",
+    "drift_control",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -169,6 +170,8 @@ class TargetRotation:
         winding = int(winding) + turns
         if abs(winding) >= 2**63:
             raise ValueError("winding plus the angle's full turns must be < 2**63 in magnitude")
+        if math.ulp(angle) > 1e-9:  # angle >= 2**23 rad: its fold into [0, 2*pi) keeps no sub-turn digits
+            raise ValueError("angle must be < 2**23 rad, so that a float resolves it to 1e-9 rad")
         ax = np.asarray(axis, dtype=float) if axis is not None else None
         if ax is not None:
             nrm = float(np.linalg.norm(ax))

@@ -29,6 +29,7 @@ from .quat import UnitQuat, cross3, jl_transpose_apply, qexp_vec, qproduct
 __all__ = [
     "TimeGrid",
     "PurePath",
+    "ordered_exp_batch",
     "time_ordered_exp",
     "solve_m_ode",
     "solve_m_ode_batch",
@@ -144,35 +145,13 @@ _H_SERIES = (
 _H_SERIES_CUT2 = 0.25  # switch on y^2
 
 
-# The same coefficients as 0-d arrays: a numpy call takes an array operand
-# faster than a Python float, with the same bits.
-_H_SERIES_0D = tuple(np.array(c) for c in _H_SERIES)
-
-
-def _h_series(y2, c=_H_SERIES):
-    return c[0] + y2 * (c[1] + y2 * (c[2] + y2 * (c[3] + y2 * c[4])))
-
-
 def _h_of_y2(y2: float) -> float:
     """Smooth coefficient h(y) = (1 - (y/2) cot(y/2)) / y^2, h(0) = 1/12."""
     if y2 < _H_SERIES_CUT2:
-        return _h_series(y2)
+        c0, c1, c2, c3, c4 = _H_SERIES
+        return c0 + y2 * (c1 + y2 * (c2 + y2 * (c3 + y2 * c4)))
     y = math.sqrt(y2)
     return (1.0 - 0.5 * y / math.tan(0.5 * y)) / y2
-
-
-def _h_of_y2_lanes(y2: np.ndarray) -> np.ndarray:
-    """``_h_of_y2`` of every entry, with its bits.
-
-    The series runs on the whole array; entries past the cut take the
-    scalar tangent branch one by one, because ``np.tan`` and ``math.tan``
-    differ in the last bit.
-    """
-    h = _h_series(y2, _H_SERIES_0D)
-    if y2.max(initial=0.0) >= _H_SERIES_CUT2:
-        far = y2 >= _H_SERIES_CUT2
-        h[far] = [_h_of_y2(v) for v in y2[far].tolist()]
-    return h
 
 
 def _check_cot_guard(y: float, t: float, lane=None):
@@ -212,8 +191,8 @@ def _m_rhs(nx, ny, nz, mx, my, mz, half_eps, eps2):
     """Right-hand side n - (eps/2) m x n + eps^2 h(eps |m|) m x (m x n) of the rotation-vector equation.
 
     One lane in floats, with ``half_eps`` = eps/2 and ``eps2`` = eps^2;
-    returns the (x, y, z) components.  ``_ring_rhs`` is the same arithmetic
-    on arrays.
+    returns the (x, y, z) components.  The step of ``solve_m_ode_batch`` is
+    the same arithmetic on lane arrays.
     """
     cx = my * nz - mz * ny
     cy = mz * nx - mx * nz
@@ -272,58 +251,26 @@ def solve_m_ode(n: PurePath, epsilon) -> PurePath:
 # m x n is m[1:4] * n[2:5] - m[2:5] * n[1:4] and every vector operation is
 # one numpy call over all components.
 
-
-def _ring_m2(m: np.ndarray) -> np.ndarray:
-    """|m|^2 of ring rows, summed as mx*mx + my*my + mz*mz."""
-    sq = m[:3] * m[:3]
-    m2 = sq[0] + sq[1]
-    m2 += sq[2]
-    return m2
-
-
-def _ring_rhs(n: np.ndarray, m: np.ndarray, half_eps, eps2, m2=None) -> np.ndarray:
-    """``_m_rhs`` of ring rows ``n`` and ``m``; returns ring rows.
-
-    ``half_eps`` broadcasts against three rows, ``eps2`` against ``m2``,
-    which may pass ``_ring_m2(m)`` already formed.  Each entry sees the
-    products, sums and Horner order of ``_m_rhs`` (two operands give the
-    same bits in either order), so it has the bits of its float lane.
-    """
-    if m2 is None:
-        m2 = _ring_m2(m)
-    c = m[1:4] * n[2:5]
-    c -= m[2:5] * n[1:4]  # m x n
-    p = m[:3] * n[:3]
-    mdotn = p[0] + p[1]
-    mdotn += p[2]
-    f = _h_of_y2_lanes(eps2 * m2)
-    f *= eps2
-    c *= half_eps
-    np.subtract(n[:3], c, out=c)
-    d = m[:3] * mdotn
-    d -= n[:3] * m2
-    d *= f
-    c += d
-    return np.concatenate((c, c[:2]))
-
-
 _CHUNK_STEPS = 128  # steps whose field samples are expanded to lane rings at once
 
 
 def _ring_steps(v: np.ndarray, n_eps: int):
-    """Per-step field at start, midpoint and end of (n_nodes, 3, paths) samples, as (5, paths * n_eps) rings."""
+    """Per-step field at start, midpoint and end of (n_nodes, 3, paths) samples, as (5, paths * n_eps) rings.
+
+    The rings are views of two chunk buffers, made once and refilled chunk by chunk.
+    """
     n_steps, n_paths = v.shape[0] - 1, v.shape[2]
-    for lo in range(0, n_steps, _CHUNK_STEPS):
-        hi = min(lo + _CHUNK_STEPS, n_steps)
-        nodes = np.empty((hi - lo + 1, 5, n_paths, n_eps))
-        nodes[:, :3] = v[lo : hi + 1, :, :, None]
-        mids = np.empty((hi - lo, 5, n_paths, n_eps))
-        mids[:, :3] = _interval_midpoints(v, lo, hi)[..., None]
+    size = min(_CHUNK_STEPS, n_steps)
+    nodes, mids = np.empty((size + 1, 5, n_paths, n_eps)), np.empty((size, 5, n_paths, n_eps))
+    node_rings, mid_rings = (a.reshape(len(a), 5, n_paths * n_eps) for a in (nodes, mids))
+    for lo in range(0, n_steps, size):
+        hi = min(lo + size, n_steps)
+        nodes[: hi - lo + 1, :3] = v[lo : hi + 1, :, :, None]
+        mids[: hi - lo, :3] = _interval_midpoints(v, lo, hi)[..., None]
         for a in (nodes, mids):
             a[:, 3:] = a[:, :2]
-        nodes, mids = nodes.reshape(hi - lo + 1, 5, -1), mids.reshape(hi - lo, 5, -1)
         for j in range(hi - lo):
-            yield nodes[j], mids[j], nodes[j + 1]
+            yield node_rings[j], mid_rings[j], node_rings[j + 1]
 
 
 def solve_m_ode_batch(values: np.ndarray, epsilons, grid: TimeGrid) -> np.ndarray:
@@ -331,12 +278,18 @@ def solve_m_ode_batch(values: np.ndarray, epsilons, grid: TimeGrid) -> np.ndarra
 
     ``values`` has shape (paths, grid.n_nodes, 3), as for
     ``ordered_exp_batch``; returns shape (paths, len(epsilons), 3).  The
-    lanes are columns of ring rows (``_ring_rhs``), so each vector
-    operation of the RK4 step is one numpy call over all components and
-    lanes, and lane (p, e) has the bits of
-    ``solve_m_ode(path p, epsilons[e]).values[-1]``.  The field is expanded
-    to lane rings one chunk of steps at a time, so the working set beyond
-    ``values`` is O(chunk * lanes).
+    lanes are columns of ring rows, so each vector operation of the RK4
+    step is one numpy call over all components and lanes, written into
+    buffers made once per call.  A step runs its four stages on the
+    h-series first; only if one of them reached ``_H_SERIES_CUT2`` or
+    raised a floating-point error is the step rerun, stage by stage, with
+    the scalar tangent branch (``_h_of_y2``) past the cut, because
+    ``np.tan`` and ``math.tan`` differ in the last bit.  Each entry sees
+    the products, sums and Horner order of ``_m_rhs`` (two operands give
+    the same bits in either order), so lane (p, e) has the bits of
+    ``solve_m_ode(path p, epsilons[e]).values[-1]``.  The field is
+    expanded to lane rings one chunk of steps at a time, so the working
+    set beyond ``values`` is O(chunk * lanes).
 
     Raises
     ------
@@ -350,26 +303,67 @@ def solve_m_ode_batch(values: np.ndarray, epsilons, grid: TimeGrid) -> np.ndarra
     if not np.all(np.isfinite(values)):
         raise ValueError("path values must be finite")
     eps = [float(e) for e in epsilons]
+    if not all(math.isfinite(e * e) for e in eps):  # a NaN lane would hide the others' tangent branch
+        raise ValueError("each epsilon must have a finite square")
     lanes = [(p, e) for p in range(len(values)) for e in eps]  # row order
     lane_eps = np.array([e for _, e in lanes])
-    half_eps, eps2, abs_eps = np.tile(0.5 * lane_eps, (3, 1)), lane_eps * lane_eps, np.abs(lane_eps)
-    # 0-d arrays for the step constants too, as in _H_SERIES_0D
-    h2, h6, dt, two = (np.array(c) for c in (0.5 * grid.dt, grid.dt / 6.0, grid.dt, 2.0))
-    m = np.zeros((5, len(lanes)))
-    m2 = np.zeros(len(lanes))  # _ring_m2(m), shared by the guard and the next k1
-    steps = _ring_steps(values.transpose(1, 2, 0), len(eps))
-    for t, (n0, nh, n1) in zip(grid.nodes[1:].tolist(), steps):
-        k1 = _ring_rhs(n0, m, half_eps, eps2, m2)
-        k2 = _ring_rhs(nh, m + h2 * k1, half_eps, eps2)
-        k3 = _ring_rhs(nh, m + h2 * k2, half_eps, eps2)
-        k4 = _ring_rhs(n1, m + dt * k3, half_eps, eps2)
-        m = m + h6 * (k1 + two * (k2 + k3) + k4)
-        m2 = _ring_m2(m)
-        y = abs_eps * np.sqrt(m2)
-        if y.max(initial=0.0) > math.pi:
-            for i in np.flatnonzero(y > math.pi):
-                _check_cot_guard(float(y[i]), t, lanes[i])
-    return m[:3].T.reshape(len(values), len(eps), 3)
+    half_eps, eps2, abs_eps = 0.5 * lane_eps, lane_eps * lane_eps, np.abs(lane_eps)
+    # 0-d arrays: a numpy call takes an array operand faster than a Python float, with the same bits
+    c0, c1, c2, c3, c4, h2, h6, dt, two = map(np.array, _H_SERIES + (0.5 * grid.dt, grid.dt / 6.0, grid.dt, 2.0))
+    mul, add, sub = np.multiply, np.add, np.subtract
+    # The stage's field n and point x are one pair of rings, so (n, x) * x and
+    # (n, x) * (|x|^2, x.n) are one call each; m, k1..k4, y2 and dots are lane rows.
+    nl = len(lanes)
+    pair, m, k, y2 = np.zeros((2, 5, nl)), np.zeros((3, nl)), np.empty((4, 3, nl)), np.empty((4, nl))
+    dots, prods, c, w, h = np.empty((2, nl)), np.empty((2, 3, nl)), np.empty((3, nl)), np.empty((3, nl)), np.empty(nl)
+    (n, x), rows, swapped, ks, ys = pair, pair[:, :3], dots[::-1, None], list(k), list(y2)
+    n0, n1, n2, x0, x1, x2, head, tail = n[:3], n[1:4], n[2:5], x[:3], x[1:4], x[2:5], x[:2], x[3:]
+    x_x, (p_n, p_x), (p0, p1, p2) = dots[1], prods, prods.swapaxes(0, 1)
+
+    def step(n_start, n_mid, n_end, exact):
+        """k1..k4 of one RK4 step from m, and y2[i] = eps^2 |x|^2 at stage i's point x."""
+        for i, field, a in ((0, n_start, None), (1, n_mid, h2), (2, n_mid, h2), (3, n_end, dt)):
+            n[...] = field
+            if a is None:
+                x0[...] = m
+            else:
+                add(m, mul(ks[i - 1], a, w), x0)
+            tail[...] = head
+            sub(mul(x1, n2, c), mul(x2, n1, w), c)  # x cross n
+            mul(rows, x0, prods)  # (n, x) * x, summed to (x.n, |x|^2)
+            add(add(p0, p1, dots), p2, dots)
+            y = mul(eps2, x_x, ys[i])
+            add(mul(y, c4, h), c3, h)
+            for coef in (c2, c1, c0):
+                add(mul(h, y, h), coef, h)
+            if exact and y.max(initial=0.0) >= _H_SERIES_CUT2:  # _h_of_y2's tangent branch past the cut
+                far = y >= _H_SERIES_CUT2
+                h[far] = [_h_of_y2(v) for v in y[far].tolist()]
+            mul(h, eps2, h)
+            sub(n0, mul(c, half_eps, c), c)
+            mul(rows, swapped, prods)  # (n |x|^2, x (x.n))
+            add(c, mul(sub(p_x, p_n, w), h, w), ks[i])
+
+    def guard(t):
+        y = abs_eps * np.sqrt((m[0] * m[0] + m[1] * m[1]) + m[2] * m[2])
+        for i in np.flatnonzero(y > math.pi):
+            _check_cot_guard(float(y[i]), t, lanes[i])
+
+    *starts, t_end = grid.nodes.tolist()
+    for t, ring_fields in zip(starts, _ring_steps(values.transpose(1, 2, 0), len(eps))):
+        try:  # a series pass that leaves the series range or its floats is rerun
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                step(*ring_fields, False)
+            on_series = np.maximum.reduce(y2, None, initial=0.0) < _H_SERIES_CUT2
+        except FloatingPointError:
+            on_series = False
+        if not on_series:
+            guard(t)  # m of the last step, checked as solve_m_ode checks it
+            step(*ring_fields, True)
+        add(ks[0], mul(add(ks[1], ks[2], w), two, w), w)  # m += h6 (k1 + 2 (k2 + k3) + k4)
+        add(m, mul(add(w, ks[3], w), h6, w), m)
+    guard(t_end)
+    return m.T.reshape(len(values), len(eps), 3)
 
 
 def n_of_m(m: PurePath, epsilon) -> PurePath:
@@ -403,15 +397,15 @@ def magnus_term(n: PurePath, order: int) -> PurePath:
     from scipy.integrate import cumulative_trapezoid
     v = n.values
     dt = n.grid.dt
-    m0 = cumulative_trapezoid(v, dx=dt, axis=0, initial=0)
+    m = cumulative_trapezoid(v, dx=dt, axis=0, initial=0)
     if order == 0:
-        return PurePath(n.grid, m0)
-    m1 = 0.5 * cumulative_trapezoid(cross3(v, m0), dx=dt, axis=0, initial=0)
+        return PurePath(n.grid, m)
+    m1 = 0.5 * cumulative_trapezoid(cross3(v, m), dx=dt, axis=0, initial=0)
     if order == 1:
         return PurePath(n.grid, m1)
-    # Second piece needs the running outer-product integral of n (x) m0.
-    outer = cumulative_trapezoid(v[:, :, None] * m0[:, None, :], dx=dt, axis=0, initial=0)  # (n, 3, 3)
-    scal = cumulative_trapezoid(np.sum(v * m0, axis=1), dx=dt, axis=0, initial=0)  # (n,)
+    # Second piece needs the running outer-product integral of n (x) m.
+    outer = cumulative_trapezoid(v[:, :, None] * m[:, None, :], dx=dt, axis=0, initial=0)  # (n, 3, 3)
+    scal = cumulative_trapezoid(np.sum(v * m, axis=1), dx=dt, axis=0, initial=0)  # (n,)
     piece1 = cumulative_trapezoid(cross3(v, 2.0 * m1), dx=dt, axis=0, initial=0)
     inner2 = np.einsum("kab,kb->ka", outer, v) - scal[:, None] * v
     piece2 = cumulative_trapezoid(inner2, dx=dt, axis=0, initial=0)

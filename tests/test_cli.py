@@ -154,14 +154,19 @@ class TestValidateConfig:
              "target: winding a zero-angle target requires a nonzero axis"),
             (dict(SMALL_MC, target={"axis": [0.0, 0.0, 0.0], "angle": 2.0 * math.pi, "winding": 0}),
              "target: winding a zero-angle target requires a nonzero axis"),
+            (dict(SMALL_SWEEP, tau=1e-300), "the drift rate of field 'target' over field 'tau' must have a finite square"),
+            (dict(SMALL_MC, tau=1e-300), "the drift rate of field 'target' over field 'tau' must have a finite square"),
+            (dict(SMALL_MC, target=dict(PAPER_TARGET, angle=1e18)),
+             "target: angle must be < 2**23 rad, so that a float resolves it to 1e-9 rad"),
         ],
         ids=["gamma-ratio", "xi", "angle-turns", "epsilon-magnus", "epsilon-mc", "axisless-winding",
-             "axisless-full-turn"],
+             "axisless-full-turn", "drift-rate-sweep", "drift-rate-mc", "angle-unresolved"],
     )
     def test_unusable_value_is_one_config_error(self, tmp_path, monkeypatch, capsys, cfg, message):
         # Finite inputs that no run can use: a derived value that overflows
-        # a float (the kernel's zero-lag value, the folded winding, eps**2),
-        # or a whole turn about no axis, which no drift makes.
+        # a float (the kernel's zero-lag value, the folded winding, eps**2,
+        # the drift rate squared), an angle whose float keeps no sub-turn
+        # digits, or a whole turn about no axis, which no drift makes.
         monkeypatch.setenv("SPINCTL_OUT", str(tmp_path / "out"))
         assert main([cfg["kind"], str(write_config(tmp_path, cfg))]) == 1
         err = capsys.readouterr().err

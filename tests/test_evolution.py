@@ -249,6 +249,21 @@ class TestTargetsAndBoundaries:
         with pytest.raises(ValueError, match="winding must be an integer"):
             TargetRotation.from_axis_angle([1, 0, 0], 1.0, winding=winding)
 
+    @pytest.mark.parametrize("angle", [2.0**23, 1e17, 1e18, 3e18])
+    def test_angle_beyond_float_resolution_rejected(self, angle):
+        # Above 2**23 rad the float spacing exceeds 1e-9 rad; by 1e16 it
+        # exceeds 2*pi, and the fold into [0, 2*pi) returned 0.0 at 1e17 and
+        # 128.0 at 1e18.
+        with pytest.raises(ValueError, match=r"angle must be < 2\*\*23 rad"):
+            TargetRotation.from_axis_angle([1, 0, 0], angle)
+
+    @pytest.mark.parametrize("angle", [2.0 * math.pi * (math.sqrt(2.0) - 1.0), math.nextafter(2.0**23, 0.0)])
+    def test_resolved_angle_folds_into_one_turn(self, angle):
+        # the flagship angle, and the largest accepted one
+        tgt = TargetRotation.from_axis_angle([1, 0, 1], angle, winding=1)
+        assert 0.0 <= tgt.theta < 2.0 * math.pi
+        assert tgt.theta + 2.0 * math.pi * tgt.winding == pytest.approx(angle + 2.0 * math.pi, rel=1e-15)
+
     def test_integral_float_winding_accepted(self):
         tgt = TargetRotation.from_axis_angle([1, 0, 0], 1.0, winding=2.0)
         assert tgt.winding == 2 and isinstance(tgt.winding, int)

@@ -277,11 +277,25 @@ class TestSolveMOdeBatch:
         with pytest.raises(ValueError, match="values must have shape"):
             solve_m_ode_batch(np.zeros(shape), [0.5], TimeGrid(1.0, 40))
 
+    def test_no_lanes_give_empty_result(self):
+        # no paths, or no epsilons: nothing to step, and an empty (paths, eps, 3) answer
+        grid = TimeGrid(1.0, 40)
+        assert solve_m_ode_batch(np.zeros((0, 41, 3)), [0.1, 0.5], grid).shape == (0, 2, 3)
+        assert solve_m_ode_batch(np.ones((2, 41, 3)), [], grid).shape == (2, 0, 3)
+
     def test_non_finite_rejected(self):
         values = np.zeros((2, 41, 3))
         values[1, 7, 2] = np.nan
         with pytest.raises(ValueError, match="finite"):
             solve_m_ode_batch(values, [0.5], TimeGrid(1.0, 40))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+    def test_epsilon_without_finite_square_rejected(self, bad):
+        # eps^2 |m|^2 of such a lane is NaN, which hid every other lane's
+        # tangent branch: an eps = 4 lane beside a NaN lane ended 25 % away
+        # from its solve_m_ode value.
+        with pytest.raises(ValueError, match="finite square"):
+            solve_m_ode_batch(np.zeros((1, 41, 3)), [4.0, bad], TimeGrid(1.0, 40))
 
     @pytest.mark.parametrize("n_steps", [2, 3, 4, 9, 600])
     def test_chunked_midpoints_match_whole(self, n_steps):
