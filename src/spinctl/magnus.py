@@ -143,6 +143,9 @@ _H_SERIES = (
     1.0 / 47900160.0,
 )
 _H_SERIES_CUT2 = 0.25  # switch on y^2
+# solve_m_ode_batch runs the guard only in steps whose first stage leaves the
+# series range, so every lane in the guard band must be past the cut.
+assert (2.0 * math.pi - COT_GUARD_BAND) ** 2 > _H_SERIES_CUT2
 
 
 def _h_of_y2(y2: float) -> float:
@@ -261,8 +264,10 @@ def _ring_steps(v: np.ndarray, n_eps: int):
     """
     n_steps, n_paths = v.shape[0] - 1, v.shape[2]
     size = min(_CHUNK_STEPS, n_steps)
-    nodes, mids = np.empty((size + 1, 5, n_paths, n_eps)), np.empty((size, 5, n_paths, n_eps))
-    node_rings, mid_rings = (a.reshape(len(a), 5, n_paths * n_eps) for a in (nodes, mids))
+    nodes = np.empty((size + 1, 5, n_paths, n_eps))
+    mids = np.empty((size, 5, n_paths, n_eps))
+    node_rings = nodes.reshape(size + 1, 5, n_paths * n_eps)
+    mid_rings = mids.reshape(size, 5, n_paths * n_eps)
     for lo in range(0, n_steps, size):
         hi = min(lo + size, n_steps)
         nodes[: hi - lo + 1, :3] = v[lo : hi + 1, :, :, None]
@@ -280,16 +285,15 @@ def solve_m_ode_batch(values: np.ndarray, epsilons, grid: TimeGrid) -> np.ndarra
     ``ordered_exp_batch``; returns shape (paths, len(epsilons), 3).  The
     lanes are columns of ring rows, so each vector operation of the RK4
     step is one numpy call over all components and lanes, written into
-    buffers made once per call.  A step runs its four stages on the
-    h-series first; only if one of them reached ``_H_SERIES_CUT2`` or
-    raised a floating-point error is the step rerun, stage by stage, with
-    the scalar tangent branch (``_h_of_y2``) past the cut, because
-    ``np.tan`` and ``math.tan`` differ in the last bit.  Each entry sees
-    the products, sums and Horner order of ``_m_rhs`` (two operands give
-    the same bits in either order), so lane (p, e) has the bits of
-    ``solve_m_ode(path p, epsilons[e]).values[-1]``.  The field is
-    expanded to lane rings one chunk of steps at a time, so the working
-    set beyond ``values`` is O(chunk * lanes).
+    buffers made once per call.  Each stage forms h on the series; lanes
+    whose y^2 reached ``_H_SERIES_CUT2`` then take the scalar tangent
+    branch (``_h_of_y2``) one by one, because ``np.tan`` and ``math.tan``
+    differ in the last bit.  Each entry sees the products, sums and Horner
+    order of ``_m_rhs`` (two operands give the same bits in either order),
+    so lane (p, e) has the bits of ``solve_m_ode(path p,
+    epsilons[e]).values[-1]``.  The field is expanded to lane rings one
+    chunk of steps at a time, so the working set beyond ``values`` is
+    O(chunk * lanes).
 
     Raises
     ------
@@ -307,61 +311,76 @@ def solve_m_ode_batch(values: np.ndarray, epsilons, grid: TimeGrid) -> np.ndarra
         raise ValueError("each epsilon must have a finite square")
     lanes = [(p, e) for p in range(len(values)) for e in eps]  # row order
     lane_eps = np.array([e for _, e in lanes])
-    half_eps, eps2, abs_eps = 0.5 * lane_eps, lane_eps * lane_eps, np.abs(lane_eps)
+    half_eps = 0.5 * lane_eps
+    eps2 = lane_eps * lane_eps
+    abs_eps = np.abs(lane_eps)
     # 0-d arrays: a numpy call takes an array operand faster than a Python float, with the same bits
-    c0, c1, c2, c3, c4, h2, h6, dt, two = map(np.array, _H_SERIES + (0.5 * grid.dt, grid.dt / 6.0, grid.dt, 2.0))
-    mul, add, sub = np.multiply, np.add, np.subtract
-    # The stage's field n and point x are one pair of rings, so (n, x) * x and
-    # (n, x) * (|x|^2, x.n) are one call each; m, k1..k4, y2 and dots are lane rows.
-    nl = len(lanes)
-    pair, m, k, y2 = np.zeros((2, 5, nl)), np.zeros((3, nl)), np.empty((4, 3, nl)), np.empty((4, nl))
-    dots, prods, c, w, h = np.empty((2, nl)), np.empty((2, 3, nl)), np.empty((3, nl)), np.empty((3, nl)), np.empty(nl)
-    (n, x), rows, swapped, ks, ys = pair, pair[:, :3], dots[::-1, None], list(k), list(y2)
-    n0, n1, n2, x0, x1, x2, head, tail = n[:3], n[1:4], n[2:5], x[:3], x[1:4], x[2:5], x[:2], x[3:]
-    x_x, (p_n, p_x), (p0, p1, p2) = dots[1], prods, prods.swapaxes(0, 1)
-
-    def step(n_start, n_mid, n_end, exact):
-        """k1..k4 of one RK4 step from m, and y2[i] = eps^2 |x|^2 at stage i's point x."""
-        for i, field, a in ((0, n_start, None), (1, n_mid, h2), (2, n_mid, h2), (3, n_end, dt)):
-            n[...] = field
-            if a is None:
-                x0[...] = m
-            else:
-                add(m, mul(ks[i - 1], a, w), x0)
-            tail[...] = head
-            sub(mul(x1, n2, c), mul(x2, n1, w), c)  # x cross n
-            mul(rows, x0, prods)  # (n, x) * x, summed to (x.n, |x|^2)
-            add(add(p0, p1, dots), p2, dots)
-            y = mul(eps2, x_x, ys[i])
-            add(mul(y, c4, h), c3, h)
-            for coef in (c2, c1, c0):
-                add(mul(h, y, h), coef, h)
-            if exact and y.max(initial=0.0) >= _H_SERIES_CUT2:  # _h_of_y2's tangent branch past the cut
-                far = y >= _H_SERIES_CUT2
-                h[far] = [_h_of_y2(v) for v in y[far].tolist()]
-            mul(h, eps2, h)
-            sub(n0, mul(c, half_eps, c), c)
-            mul(rows, swapped, prods)  # (n |x|^2, x (x.n))
-            add(c, mul(sub(p_x, p_n, w), h, w), ks[i])
+    c0, c1, c2, c3, c4 = (np.array(c) for c in _H_SERIES)
+    h2, h6, dt, two = (np.array(c) for c in (0.5 * grid.dt, grid.dt / 6.0, grid.dt, 2.0))
+    # Local names: a step makes about 100 ufunc calls, and looking up np.<ufunc>
+    # for each one costs about 5 % of the call.
+    multiply, add, subtract = np.multiply, np.add, np.subtract
+    # Every buffer and view is made once.  A stage's field n and point x are
+    # one pair of rings, so (n, x) * x and (n, x) * (|x|^2, x.n) are one call each.
+    n_lanes = len(lanes)
+    pair = np.zeros((2, 5, n_lanes))
+    n, x = pair
+    n_and_x = pair[:, :3]
+    n_xyz = n[:3]
+    n_yzx = n[1:4]
+    n_zxy = n[2:5]
+    x_xyz = x[:3]
+    x_yzx = x[1:4]
+    x_zxy = x[2:5]
+    x_ring_head = x[:2]
+    x_ring_tail = x[3:]
+    prods = np.empty((2, 3, n_lanes))
+    n_prod, x_prod = prods
+    prod_x, prod_y, prod_z = prods.swapaxes(0, 1)
+    dots = np.empty((2, n_lanes))  # (x.n, |x|^2)
+    x2 = dots[1]
+    x2_then_xn = dots[::-1, None]
+    m = np.zeros((3, n_lanes))
+    k = list(np.empty((4, 3, n_lanes)))  # k1..k4
+    c = np.empty((3, n_lanes))
+    w = np.empty((3, n_lanes))
+    y2 = np.empty(n_lanes)
+    h = np.empty(n_lanes)
 
     def guard(t):
+        """``_check_cot_guard`` of every lane's m at node t, as ``solve_m_ode`` checks it."""
         y = abs_eps * np.sqrt((m[0] * m[0] + m[1] * m[1]) + m[2] * m[2])
         for i in np.flatnonzero(y > math.pi):
             _check_cot_guard(float(y[i]), t, lanes[i])
 
     *starts, t_end = grid.nodes.tolist()
-    for t, ring_fields in zip(starts, _ring_steps(values.transpose(1, 2, 0), len(eps))):
-        try:  # a series pass that leaves the series range or its floats is rerun
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                step(*ring_fields, False)
-            on_series = np.maximum.reduce(y2, None, initial=0.0) < _H_SERIES_CUT2
-        except FloatingPointError:
-            on_series = False
-        if not on_series:
-            guard(t)  # m of the last step, checked as solve_m_ode checks it
-            step(*ring_fields, True)
-        add(ks[0], mul(add(ks[1], ks[2], w), two, w), w)  # m += h6 (k1 + 2 (k2 + k3) + k4)
-        add(m, mul(add(w, ks[3], w), h6, w), m)
+    for t, (n_start, n_mid, n_end) in zip(starts, _ring_steps(values.transpose(1, 2, 0), len(eps))):
+        for i, field, a in ((0, n_start, None), (1, n_mid, h2), (2, n_mid, h2), (3, n_end, dt)):
+            n[...] = field
+            if a is None:
+                x_xyz[...] = m
+            else:
+                add(m, multiply(k[i - 1], a, w), x_xyz)
+            x_ring_tail[...] = x_ring_head
+            multiply(x_yzx, n_zxy, c)
+            subtract(c, multiply(x_zxy, n_yzx, w), c)  # x cross n
+            multiply(n_and_x, x_xyz, prods)  # (n x, x x), summed to (x.n, |x|^2)
+            add(add(prod_x, prod_y, dots), prod_z, dots)
+            multiply(eps2, x2, y2)
+            add(multiply(y2, c4, h), c3, h)  # _h_of_y2: the series, then the tangent branch past the cut
+            for coef in (c2, c1, c0):
+                add(multiply(h, y2, h), coef, h)
+            if np.maximum.reduce(y2, None, initial=0.0) >= _H_SERIES_CUT2:
+                if i == 0:
+                    guard(t)  # stage 1's point is m, and a lane in the guard band is past the cut (module assert)
+                far = y2 >= _H_SERIES_CUT2
+                h[far] = [_h_of_y2(v) for v in y2[far].tolist()]
+            multiply(h, eps2, h)
+            subtract(n_xyz, multiply(c, half_eps, c), c)
+            multiply(n_and_x, x2_then_xn, prods)  # (n |x|^2, x (x.n))
+            add(c, multiply(subtract(x_prod, n_prod, w), h, w), k[i])
+        add(k[0], multiply(add(k[1], k[2], w), two, w), w)  # m += h6 (k1 + 2 (k2 + k3) + k4)
+        add(m, multiply(add(w, k[3], w), h6, w), m)
     guard(t_end)
     return m.T.reshape(len(values), len(eps), 3)
 
@@ -397,15 +416,15 @@ def magnus_term(n: PurePath, order: int) -> PurePath:
     from scipy.integrate import cumulative_trapezoid
     v = n.values
     dt = n.grid.dt
-    m = cumulative_trapezoid(v, dx=dt, axis=0, initial=0)
+    m0 = cumulative_trapezoid(v, dx=dt, axis=0, initial=0)
     if order == 0:
-        return PurePath(n.grid, m)
-    m1 = 0.5 * cumulative_trapezoid(cross3(v, m), dx=dt, axis=0, initial=0)
+        return PurePath(n.grid, m0)
+    m1 = 0.5 * cumulative_trapezoid(cross3(v, m0), dx=dt, axis=0, initial=0)
     if order == 1:
         return PurePath(n.grid, m1)
-    # Second piece needs the running outer-product integral of n (x) m.
-    outer = cumulative_trapezoid(v[:, :, None] * m[:, None, :], dx=dt, axis=0, initial=0)  # (n, 3, 3)
-    scal = cumulative_trapezoid(np.sum(v * m, axis=1), dx=dt, axis=0, initial=0)  # (n,)
+    # Second piece needs the running outer-product integral of n (x) m0.
+    outer = cumulative_trapezoid(v[:, :, None] * m0[:, None, :], dx=dt, axis=0, initial=0)  # (n, 3, 3)
+    scal = cumulative_trapezoid(np.sum(v * m0, axis=1), dx=dt, axis=0, initial=0)  # (n,)
     piece1 = cumulative_trapezoid(cross3(v, 2.0 * m1), dx=dt, axis=0, initial=0)
     inner2 = np.einsum("kab,kb->ka", outer, v) - scal[:, None] * v
     piece2 = cumulative_trapezoid(inner2, dx=dt, axis=0, initial=0)

@@ -297,6 +297,20 @@ class TestSolveMOdeBatch:
         with pytest.raises(ValueError, match="finite square"):
             solve_m_ode_batch(np.zeros((1, 41, 3)), [4.0, bad], TimeGrid(1.0, 40))
 
+    def test_overflowing_lane_leaves_others_alone(self):
+        # A field of 1e200 overflows |m|^2 in its own lanes, which numpy
+        # reports as a RuntimeWarning; the ordinary path's lanes keep the bits
+        # of solve_m_ode.
+        grid = TimeGrid(1.0, 200)
+        ordinary = random_smooth_path(grid, np.random.default_rng(5), amplitude=0.1)
+        epsilons = [0.0, 1.0]
+        with pytest.warns(RuntimeWarning) as record:
+            batch = solve_m_ode_batch(np.stack([ordinary.values, 1e200 * ordinary.values]), epsilons, grid)
+        assert "overflow encountered in multiply" in {str(w.message) for w in record}
+        for e, eps in enumerate(epsilons):
+            assert np.array_equal(batch[0, e], solve_m_ode(ordinary, eps).values[-1]), eps
+        assert not np.isfinite(batch[1]).any()
+
     @pytest.mark.parametrize("n_steps", [2, 3, 4, 9, 600])
     def test_chunked_midpoints_match_whole(self, n_steps):
         v = np.random.default_rng(n_steps).normal(size=(n_steps + 1, 3, 2))
