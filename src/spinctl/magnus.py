@@ -8,7 +8,8 @@ rotation vector m(t).  This module provides:
   fields, computed by tree reduction (the oracle discretization everything
   else is checked against); ``time_ordered_exp`` is its one-path case,
 * ``solve_m_ode``      -- the exact first-order ODE for m(t), an all-orders
-  resummation of the perturbative (Magnus-type) series, stepped in floats;
+  resummation of the perturbative (Magnus-type) series, stepped in floats
+  by a fourth-order Adams predictor-corrector with an RK4 start;
   ``solve_m_ode_batch`` steps many (path, eps) lanes of it together, with
   the same bits, on ring rows (x, y, z, x, y) of lane arrays, so that a
   cross product or any other vector operation is one numpy call,
@@ -143,9 +144,10 @@ _H_SERIES = (
     1.0 / 47900160.0,
 )
 _H_SERIES_CUT2 = 0.25  # switch on y^2
-# solve_m_ode_batch runs the guard only in steps whose first stage leaves the
-# series range, so every lane in the guard band must be past the cut.
-assert (2.0 * math.pi - COT_GUARD_BAND) ** 2 > _H_SERIES_CUT2
+
+# Classic RK4 steps that start the Adams predictor-corrector, which needs f at
+# four nodes; a grid of no more steps is RK4 only.
+_START_STEPS = 3
 
 
 def _h_of_y2(y2: float) -> float:
@@ -158,16 +160,26 @@ def _h_of_y2(y2: float) -> float:
 
 
 def _check_cot_guard(y: float, t: float, lane=None):
-    if y > math.pi:
+    """Refuse node t if |eps|*|m| = y is in the guard band around a pole or its pole index changed.
+
+    m(0) = 0 has pole index floor(y / 2 pi) = 0 and every change of it is
+    refused, so y >= 2 pi means the step to t crossed the pole at 2 pi.  An
+    overflowed lane (y = inf) is left to numpy's warning.
+    """
+    if math.pi < y < math.inf:
         k = round(y / (2.0 * math.pi))
-        if k >= 1 and abs(y - 2.0 * math.pi * k) < COT_GUARD_BAND:
-            where = "" if lane is None else f" in lane (path {lane[0]}, eps {lane[1]:g})"
-            raise SingularCot(
-                f"|eps|*|m| = {y:.6f} entered the guard band around 2*pi*{k}{where} near t = {t:.6g}; "
-                "refine the grid or reduce epsilon",
-                t_cross=t,
-                lane=lane,
-            )
+        if abs(y - 2.0 * math.pi * k) < COT_GUARD_BAND:
+            what = f"entered the guard band around 2*pi*{k}"
+        elif y >= 2.0 * math.pi:
+            what = "crossed the pole at 2*pi between nodes"
+        else:
+            return
+        where = "" if lane is None else f" in lane (path {lane[0]}, eps {lane[1]:g})"
+        raise SingularCot(
+            f"|eps|*|m| = {y:.6f} {what}{where} near t = {t:.6g}; refine the grid or reduce epsilon",
+            t_cross=t,
+            lane=lane,
+        )
 
 
 def _interval_midpoints(v: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
@@ -217,27 +229,37 @@ def solve_m_ode(n: PurePath, epsilon) -> PurePath:
 
     The returned path m(t) satisfies
     exp((eps/2) m(t)) = T exp((eps/2) int_0^t n dt) at every node, i.e. it is
-    the all-orders resummation of the perturbative series.  Classic
-    fourth-order Runge-Kutta, with the field taken at the start, cubic
-    midpoint (``_interval_midpoints``) and end of each step.
+    the all-orders resummation of the perturbative series.  Fourth-order
+    Adams-Bashforth-Moulton predictor-corrector in PEC mode: one right-hand
+    side f per step, at the predicted point and the field at the next node.
+    The first ``_START_STEPS`` steps are classic fourth-order Runge-Kutta,
+    with the field at the start, cubic midpoint (``_interval_midpoints``)
+    and end of the step.
 
     Raises
     ------
+    ValueError
+        When eps^2 is not finite.
     SingularCot
         When |eps|*|m| approaches a nonzero multiple of 2*pi, where the
         right-hand side has a cotangent pole and exp((eps/2) m) = -1 makes
-        the continuation ambiguous.
+        the continuation ambiguous, or passed 2*pi between two nodes.
     """
     eps = float(epsilon)
+    if not math.isfinite(eps * eps):
+        raise ValueError("each epsilon must have a finite square")
     coef = (0.5 * eps, eps * eps)
     dt = n.grid.dt
     h2 = 0.5 * dt
     h6 = dt / 6.0
+    h24 = dt / 24.0
     mx = my = mz = 0.0
     out = [(mx, my, mz)]
     pts = n.values.tolist()
-    steps = zip(n.grid.nodes[1:].tolist(), pts, _interval_midpoints(n.values).tolist(), pts[1:])
-    for t, (n0x, n0y, n0z), (nmx, nmy, nmz), (n1x, n1y, n1z) in steps:
+    ts = n.grid.nodes.tolist()
+    f = []  # f at the nodes so far, newest first
+    mids = _interval_midpoints(n.values, 0, min(_START_STEPS, n.grid.n_steps)).tolist()
+    for t, (n0x, n0y, n0z), (nmx, nmy, nmz), (n1x, n1y, n1z) in zip(ts[1:], pts, mids, pts[1:]):
         k1 = _m_rhs(n0x, n0y, n0z, mx, my, mz, *coef)
         k2 = _m_rhs(nmx, nmy, nmz, mx + h2 * k1[0], my + h2 * k1[1], mz + h2 * k1[2], *coef)
         k3 = _m_rhs(nmx, nmy, nmz, mx + h2 * k2[0], my + h2 * k2[1], mz + h2 * k2[2], *coef)
@@ -247,6 +269,16 @@ def solve_m_ode(n: PurePath, epsilon) -> PurePath:
         mz = mz + h6 * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
         _check_cot_guard(abs(eps) * math.sqrt(mx * mx + my * my + mz * mz), t)
         out.append((mx, my, mz))
+        f.insert(0, k1)
+    if n.grid.n_steps > _START_STEPS:
+        f.insert(0, _m_rhs(*pts[_START_STEPS], mx, my, mz, *coef))
+    for t, n1 in zip(ts[_START_STEPS + 1 :], pts[_START_STEPS + 1 :]):
+        m = (mx, my, mz)
+        p = [a + h24 * (((55.0 * b0 - 59.0 * b1) + 37.0 * b2) - 9.0 * b3) for a, b0, b1, b2, b3 in zip(m, *f)]
+        f = [_m_rhs(*n1, *p, *coef)] + f[:3]  # f at nodes j+1..j-2
+        mx, my, mz = (a + h24 * (((9.0 * b0 + 19.0 * b1) - 5.0 * b2) + b3) for a, b0, b1, b2, b3 in zip(m, *f))
+        _check_cot_guard(abs(eps) * math.sqrt(mx * mx + my * my + mz * mz), t)
+        out.append((mx, my, mz))
     return PurePath(n.grid, out)
 
 
@@ -254,52 +286,30 @@ def solve_m_ode(n: PurePath, epsilon) -> PurePath:
 # m x n is m[1:4] * n[2:5] - m[2:5] * n[1:4] and every vector operation is
 # one numpy call over all components.
 
-_CHUNK_STEPS = 128  # steps whose field samples are expanded to lane rings at once
-
-
-def _ring_steps(v: np.ndarray, n_eps: int):
-    """Per-step field at start, midpoint and end of (n_nodes, 3, paths) samples, as (5, paths * n_eps) rings.
-
-    The rings are views of two chunk buffers, made once and refilled chunk by chunk.
-    """
-    n_steps, n_paths = v.shape[0] - 1, v.shape[2]
-    size = min(_CHUNK_STEPS, n_steps)
-    nodes = np.empty((size + 1, 5, n_paths, n_eps))
-    mids = np.empty((size, 5, n_paths, n_eps))
-    node_rings = nodes.reshape(size + 1, 5, n_paths * n_eps)
-    mid_rings = mids.reshape(size, 5, n_paths * n_eps)
-    for lo in range(0, n_steps, size):
-        hi = min(lo + size, n_steps)
-        nodes[: hi - lo + 1, :3] = v[lo : hi + 1, :, :, None]
-        mids[: hi - lo, :3] = _interval_midpoints(v, lo, hi)[..., None]
-        for a in (nodes, mids):
-            a[:, 3:] = a[:, :2]
-        for j in range(hi - lo):
-            yield node_rings[j], mid_rings[j], node_rings[j + 1]
-
 
 def solve_m_ode_batch(values: np.ndarray, epsilons, grid: TimeGrid) -> np.ndarray:
     """m(tau) of ``solve_m_ode`` for every (path, eps) lane, all stepped together.
 
     ``values`` has shape (paths, grid.n_nodes, 3), as for
     ``ordered_exp_batch``; returns shape (paths, len(epsilons), 3).  The
-    lanes are columns of ring rows, so each vector operation of the RK4
-    step is one numpy call over all components and lanes, written into
-    buffers made once per call.  Each stage forms h on the series; lanes
+    lanes are columns of ring rows, so each vector operation of a step is
+    one numpy call over all components and lanes, written into buffers
+    made once per call.  Each right-hand side forms h on the series; lanes
     whose y^2 reached ``_H_SERIES_CUT2`` then take the scalar tangent
     branch (``_h_of_y2``) one by one, because ``np.tan`` and ``math.tan``
     differ in the last bit.  Each entry sees the products, sums and Horner
-    order of ``_m_rhs`` (two operands give the same bits in either order),
-    so lane (p, e) has the bits of ``solve_m_ode(path p,
-    epsilons[e]).values[-1]``.  The field is expanded to lane rings one
-    chunk of steps at a time, so the working set beyond ``values`` is
-    O(chunk * lanes).
+    order of ``_m_rhs`` and of the steps of ``solve_m_ode`` (two operands
+    give the same bits in either order), so lane (p, e) has the bits of
+    ``solve_m_ode(path p, epsilons[e]).values[-1]``.  The field is copied
+    to the lanes one sample at a time, so the working set beyond
+    ``values`` is O(lanes).
 
     Raises
     ------
     SingularCot
-        At the first step where any lane enters the guard band; ``lane`` is
-        (path index, eps) of the first such lane in row order.
+        At the first node where any lane enters the guard band or crossed
+        2*pi; ``lane`` is (path index, eps) of the first such lane in row
+        order.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 3 or values.shape[1:] != (grid.n_nodes, 3):
@@ -314,17 +324,23 @@ def solve_m_ode_batch(values: np.ndarray, epsilons, grid: TimeGrid) -> np.ndarra
     half_eps = 0.5 * lane_eps
     eps2 = lane_eps * lane_eps
     abs_eps = np.abs(lane_eps)
+    eps2_max = float(eps2.max(initial=0.0))
     # 0-d arrays: a numpy call takes an array operand faster than a Python float, with the same bits
     c0, c1, c2, c3, c4 = (np.array(c) for c in _H_SERIES)
-    h2, h6, dt, two = (np.array(c) for c in (0.5 * grid.dt, grid.dt / 6.0, grid.dt, 2.0))
-    # Local names: a step makes about 100 ufunc calls, and looking up np.<ufunc>
+    h2, h6, h24, dt, two = (np.array(c) for c in (0.5 * grid.dt, grid.dt / 6.0, grid.dt / 24.0, grid.dt, 2.0))
+    a55, a59, a37, a9, a19, a5 = (np.array(c) for c in (55.0, 59.0, 37.0, 9.0, 19.0, 5.0))
+    # Local names: a step makes about 40 ufunc calls, and looking up np.<ufunc>
     # for each one costs about 5 % of the call.
     multiply, add, subtract = np.multiply, np.add, np.subtract
-    # Every buffer and view is made once.  A stage's field n and point x are
-    # one pair of rings, so (n, x) * x and (n, x) * (|x|^2, x.n) are one call each.
+    # Every buffer and view is made once.  The field n and point x of a
+    # right-hand side are one pair of rings, so completing both rings,
+    # (n, x) * x and (n, x) * (|x|^2, x.n) are one call each.
     n_lanes = len(lanes)
     pair = np.zeros((2, 5, n_lanes))
     n, x = pair
+    n_by_path = n[:3].reshape(3, len(values), len(eps))
+    pair_head = pair[:, :2]
+    pair_tail = pair[:, 3:]
     n_and_x = pair[:, :3]
     n_xyz = n[:3]
     n_yzx = n[1:4]
@@ -332,8 +348,6 @@ def solve_m_ode_batch(values: np.ndarray, epsilons, grid: TimeGrid) -> np.ndarra
     x_xyz = x[:3]
     x_yzx = x[1:4]
     x_zxy = x[2:5]
-    x_ring_head = x[:2]
-    x_ring_tail = x[3:]
     prods = np.empty((2, 3, n_lanes))
     n_prod, x_prod = prods
     prod_x, prod_y, prod_z = prods.swapaxes(0, 1)
@@ -341,47 +355,77 @@ def solve_m_ode_batch(values: np.ndarray, epsilons, grid: TimeGrid) -> np.ndarra
     x2 = dots[1]
     x2_then_xn = dots[::-1, None]
     m = np.zeros((3, n_lanes))
-    k = list(np.empty((4, 3, n_lanes)))  # k1..k4
+    m_flat = m.reshape(-1)
+    f = list(np.empty((4, 3, n_lanes)))  # f at the last four nodes, newest first
+    k2, k3, k4 = np.empty((3, 3, n_lanes))
     c = np.empty((3, n_lanes))
     w = np.empty((3, n_lanes))
     y2 = np.empty(n_lanes)
     h = np.empty(n_lanes)
 
+    def rhs(sample, out):
+        """``_m_rhs`` of every lane into ``out``, at the point in x and the field ``sample`` (3, paths)."""
+        n_by_path[...] = sample[:, :, None]
+        pair_tail[...] = pair_head
+        multiply(x_yzx, n_zxy, c)
+        subtract(c, multiply(x_zxy, n_yzx, w), c)  # x cross n
+        multiply(n_and_x, x_xyz, prods)  # (n x, x x), summed to (x.n, |x|^2)
+        add(add(prod_x, prod_y, dots), prod_z, dots)
+        multiply(eps2, x2, y2)
+        add(multiply(y2, c4, h), c3, h)  # _h_of_y2: the series, then the tangent branch past the cut
+        for coef in (c2, c1, c0):
+            add(multiply(h, y2, h), coef, h)
+        # "not <": a NaN lane must not hide the others; an overflowed lane keeps its series value
+        if not np.maximum.reduce(y2, None, initial=0.0) < _H_SERIES_CUT2:
+            far = (y2 >= _H_SERIES_CUT2) & (y2 < math.inf)
+            h[far] = [_h_of_y2(v) for v in y2[far].tolist()]
+        multiply(h, eps2, h)
+        subtract(n_xyz, multiply(c, half_eps, c), c)
+        multiply(n_and_x, x2_then_xn, prods)  # (n |x|^2, x (x.n))
+        add(c, multiply(subtract(x_prod, n_prod, w), h, w), out)
+
     def guard(t):
         """``_check_cot_guard`` of every lane's m at node t, as ``solve_m_ode`` checks it."""
+        # eps2_max times the sum of all lanes' |m|^2 bounds each lane's y^2, and the
+        # guard acts only past y = pi; a NaN sum does not return.
+        if eps2_max * np.dot(m_flat, m_flat) < math.pi * math.pi:
+            return
         y = abs_eps * np.sqrt((m[0] * m[0] + m[1] * m[1]) + m[2] * m[2])
         for i in np.flatnonzero(y > math.pi):
             _check_cot_guard(float(y[i]), t, lanes[i])
 
-    *starts, t_end = grid.nodes.tolist()
-    for t, (n_start, n_mid, n_end) in zip(starts, _ring_steps(values.transpose(1, 2, 0), len(eps))):
-        for i, field, a in ((0, n_start, None), (1, n_mid, h2), (2, n_mid, h2), (3, n_end, dt)):
-            n[...] = field
-            if a is None:
-                x_xyz[...] = m
-            else:
-                add(m, multiply(k[i - 1], a, w), x_xyz)
-            x_ring_tail[...] = x_ring_head
-            multiply(x_yzx, n_zxy, c)
-            subtract(c, multiply(x_zxy, n_yzx, w), c)  # x cross n
-            multiply(n_and_x, x_xyz, prods)  # (n x, x x), summed to (x.n, |x|^2)
-            add(add(prod_x, prod_y, dots), prod_z, dots)
-            multiply(eps2, x2, y2)
-            add(multiply(y2, c4, h), c3, h)  # _h_of_y2: the series, then the tangent branch past the cut
-            for coef in (c2, c1, c0):
-                add(multiply(h, y2, h), coef, h)
-            if np.maximum.reduce(y2, None, initial=0.0) >= _H_SERIES_CUT2:
-                if i == 0:
-                    guard(t)  # stage 1's point is m, and a lane in the guard band is past the cut (module assert)
-                far = y2 >= _H_SERIES_CUT2
-                h[far] = [_h_of_y2(v) for v in y2[far].tolist()]
-            multiply(h, eps2, h)
-            subtract(n_xyz, multiply(c, half_eps, c), c)
-            multiply(n_and_x, x2_then_xn, prods)  # (n |x|^2, x (x.n))
-            add(c, multiply(subtract(x_prod, n_prod, w), h, w), k[i])
-        add(k[0], multiply(add(k[1], k[2], w), two, w), w)  # m += h6 (k1 + 2 (k2 + k3) + k4)
-        add(m, multiply(add(w, k[3], w), h6, w), m)
-    guard(t_end)
+    v = values.transpose(1, 2, 0)  # (n_nodes, 3, paths)
+    ts = grid.nodes.tolist()
+    start = min(_START_STEPS, grid.n_steps)
+    for j, mid in enumerate(_interval_midpoints(v, 0, start)):  # RK4
+        x_xyz[...] = m
+        rhs(v[j], f[0])
+        add(m, multiply(f[0], h2, w), x_xyz)
+        rhs(mid, k2)
+        add(m, multiply(k2, h2, w), x_xyz)
+        rhs(mid, k3)
+        add(m, multiply(k3, dt, w), x_xyz)
+        rhs(v[j + 1], k4)
+        add(f[0], multiply(add(k2, k3, w), two, w), w)  # m += h6 (k1 + 2 (k2 + k3) + k4)
+        add(m, multiply(add(w, k4, w), h6, w), m)
+        guard(ts[j + 1])
+        f.insert(0, f.pop())
+    if grid.n_steps > start:
+        x_xyz[...] = m
+        rhs(v[start], f[0])
+    for j in range(start, grid.n_steps):  # Adams, PEC
+        f0, f1, f2, f3 = f
+        subtract(multiply(f0, a55, x_xyz), multiply(f1, a59, w), x_xyz)  # p into x
+        add(x_xyz, multiply(f2, a37, w), x_xyz)
+        subtract(x_xyz, multiply(f3, a9, w), x_xyz)
+        add(m, multiply(x_xyz, h24, x_xyz), x_xyz)
+        rhs(v[j + 1], f3)  # f_{j+1} takes the buffer of f_{j-3}
+        add(multiply(f3, a9, w), multiply(f0, a19, c), w)  # m += (dt/24)(9 f_{j+1} + 19 f_j - 5 f_{j-1} + f_{j-2})
+        subtract(w, multiply(f1, a5, c), w)
+        add(w, f2, w)
+        add(m, multiply(w, h24, w), m)
+        guard(ts[j + 1])
+        f = [f3, f0, f1, f2]
     return m.T.reshape(len(values), len(eps), 3)
 
 

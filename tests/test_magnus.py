@@ -215,6 +215,36 @@ class TestSolveMOde:
             errs.append(mismatch(half_exp(m.values[-1], eps), time_ordered_exp(n, eps)))
         assert errs[0] / errs[1] > 3.0
 
+    def test_fourth_order_in_dt(self):
+        # m(tau) against a 16x finer grid: each halving of dt shrinks the error
+        # about 16x.  The oracle tests cannot see this order, since the
+        # oracle's own error is second order.
+        eps = 1.0
+        ref = solve_m_ode(rotating_field(TimeGrid(1.0, 16_000)), eps).values[-1]
+        errs = [
+            np.linalg.norm(solve_m_ode(rotating_field(TimeGrid(1.0, n_steps)), eps).values[-1] - ref)
+            for n_steps in (250, 500, 1000)
+        ]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 12.0 <= coarse / fine <= 20.0, errs
+
+    @pytest.mark.parametrize("n_steps", [2, 3, 4, 50])
+    def test_one_rhs_per_step_after_start(self, monkeypatch, n_steps):
+        # Three RK4 steps (4 right-hand sides each) and f at node 3 start the
+        # Adams steps, which take one each: n + 10 in all; shorter grids are
+        # RK4 only, 4 per step.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return rhs(*args)
+
+        rhs = magnus._m_rhs
+        monkeypatch.setattr(magnus, "_m_rhs", counted)
+        grid = TimeGrid(1.0, n_steps)
+        solve_m_ode(rotating_field(grid), 0.5)
+        assert len(calls) == (4 * n_steps if n_steps <= 3 else n_steps + 10)
+
     def test_cot_pole_refused(self):
         # |m| grows linearly for a constant field; |eps||m| crosses 2*pi for
         # either sign of eps
@@ -233,13 +263,12 @@ class TestSolveMOde:
 class TestSolveMOdeBatch:
     def test_lanes_match_solve_m_ode_bit_for_bit(self):
         # tau = 20 lets eps*|m| pass 1/2, where h(y) leaves its series for the
-        # tangent branch; eps = 0 and the weak paths stay on the series.  The
-        # field is expanded one chunk of steps at a time: 900 steps end inside
-        # a chunk, and the other grids end one step before, on and after the
-        # first chunk boundary.
-        chunk = magnus._CHUNK_STEPS
-        for n_steps in (900, chunk - 1, chunk, chunk + 1):
-            grid = TimeGrid(20.0, n_steps)
+        # tangent branch; eps = 0 and the weak paths stay on the series.  Two
+        # and three steps are RK4 only, four and five add the first Adams
+        # steps; at tau = 20 such coarse grids carry eps*|m| across 2*pi, so
+        # they run at tau = 4.
+        for tau, n_steps in ((20.0, 900), (20.0, 128), (4.0, 2), (4.0, 3), (4.0, 4), (4.0, 5)):
+            grid = TimeGrid(tau, n_steps)
             rng = np.random.default_rng(31)
             paths = [random_smooth_path(grid, rng, amplitude=a) for a in (0.02, 0.1, 0.2)]
             epsilons = [0.0, 1.0, 4.0]
@@ -272,6 +301,28 @@ class TestSolveMOdeBatch:
         assert crossings[0] == pytest.approx((2.0 * math.pi - 0.05) / 8.4, abs=2.0 * grid.dt)
         assert crossings[1] == crossings[0]
 
+    @pytest.mark.parametrize("n_steps", [10, 13])
+    def test_pole_crossed_between_nodes_refused(self, n_steps):
+        # eps*|m| = 8.4 t steps over 2*pi, past the guard band, between two
+        # nodes: from 5.88 to 6.72 on 10 steps, 5.82 to 6.46 on 13.
+        grid = TimeGrid(1.0, n_steps)
+        const = np.zeros((grid.n_nodes, 3))
+        const[:, 0] = 1.0
+        values = np.stack([0.1 * const, 1.2 * const])
+        k = math.ceil(2.0 * math.pi / (8.4 * grid.dt))  # first node past 2*pi
+        with pytest.raises(SingularCot, match="crossed the pole") as err:
+            solve_m_ode_batch(values, [0.5, 7.0], grid)
+        assert err.value.lane == (1, 7.0)
+        assert "path 1, eps 7" in str(err.value)
+        with pytest.raises(SingularCot, match="crossed the pole") as alone:
+            solve_m_ode(PurePath(grid, values[1]), 7.0)
+        assert err.value.t_cross == alone.value.t_cross == grid.nodes[k]
+        # a fine grid meets the guard band first
+        grid = TimeGrid(1.0, 400)
+        with pytest.raises(SingularCot, match="guard band") as err:
+            solve_m_ode(PurePath(grid, np.broadcast_to([1.2, 0.0, 0.0], (grid.n_nodes, 3))), 7.0)
+        assert err.value.t_cross == pytest.approx(0.7425)
+
     @pytest.mark.parametrize("shape", [(2, 40, 3), (2, 42, 3), (41, 3), (2, 41, 2)])
     def test_wrong_shape_rejected(self, shape):
         with pytest.raises(ValueError, match="values must have shape"):
@@ -294,8 +345,11 @@ class TestSolveMOdeBatch:
         # eps^2 |m|^2 of such a lane is NaN, which hid every other lane's
         # tangent branch: an eps = 4 lane beside a NaN lane ended 25 % away
         # from its solve_m_ode value.
+        grid = TimeGrid(1.0, 40)
         with pytest.raises(ValueError, match="finite square"):
-            solve_m_ode_batch(np.zeros((1, 41, 3)), [4.0, bad], TimeGrid(1.0, 40))
+            solve_m_ode_batch(np.zeros((1, 41, 3)), [4.0, bad], grid)
+        with pytest.raises(ValueError, match="finite square"):
+            solve_m_ode(PurePath(grid, np.zeros((41, 3))), bad)
 
     def test_overflowing_lane_leaves_others_alone(self):
         # A field of 1e200 overflows |m|^2 in its own lanes, which numpy
@@ -309,6 +363,20 @@ class TestSolveMOdeBatch:
         assert "overflow encountered in multiply" in {str(w.message) for w in record}
         for e, eps in enumerate(epsilons):
             assert np.array_equal(batch[0, e], solve_m_ode(ordinary, eps).values[-1]), eps
+        assert not np.isfinite(batch[1]).any()
+
+    def test_overflowing_lane_keeps_others_tangent_branch(self):
+        # The eps = 0 lane of a 1e200 field has y^2 = 0 * inf = NaN and the
+        # eps = 4 lane y^2 = inf; neither may keep the ordinary path's
+        # eps = 4 lane, whose y^2 passes the cut, off the tangent branch.
+        grid = TimeGrid(20.0, 300)
+        ordinary = random_smooth_path(grid, np.random.default_rng(31), amplitude=0.2)
+        epsilons = [0.0, 4.0]
+        with pytest.warns(RuntimeWarning):
+            batch = solve_m_ode_batch(np.stack([ordinary.values, 1e200 * ordinary.values]), epsilons, grid)
+        m = solve_m_ode(ordinary, 4.0).values
+        assert np.max(16.0 * np.sum(m * m, axis=1)) > magnus._H_SERIES_CUT2
+        assert np.array_equal(batch[0, 1], m[-1])
         assert not np.isfinite(batch[1]).any()
 
     @pytest.mark.parametrize("n_steps", [2, 3, 4, 9, 600])
