@@ -337,10 +337,7 @@ def _problem(config: RunConfig, lam: float) -> OptimizationProblem:
 
 def _run_mc_validate(config: RunConfig, out: Path):
     lam = config.lambda_inv[-1]
-    try:
-        sol = solve(_problem(config, lam))
-    except SolveFailed as exc:
-        return [_failure_row(exc)], {}
+    sol = solve(_problem(config, lam))
     s_val = sol.S
     start = time.perf_counter()
     table = mc_fidelity_table(
@@ -411,10 +408,7 @@ def _failure_row(exc: SolveFailed) -> dict:
 
 def _run_solve(config: RunConfig, out: Path):
     lam = config.lambda_inv[0]
-    try:
-        sol = solve(_problem(config, lam))
-    except SolveFailed as exc:
-        return [_failure_row(exc)], {}
+    sol = solve(_problem(config, lam))
     t = sol.triad.grid.nodes
     lab = sol.control.omega_lab.values
     dom = sol.delta_omega.values
@@ -490,7 +484,10 @@ def run(config: RunConfig) -> RunReport:
         "magnus-check": _run_magnus_check,
         "kernel-table": _run_kernel_table,
     }[config.kind]
-    rows, deltas = runner(config, out)
+    try:
+        rows, deltas = runner(config, out)
+    except SolveFailed as exc:  # a solve or mc-validate whose one solve failed, before it wrote anything
+        rows, deltas = [_failure_row(exc)], {}
     report = RunReport(
         config=config.echo,
         rows=rows,

@@ -29,7 +29,6 @@ from .quat import (
     qexp_vec,
     qprefix,
     quat_to_matrix,
-    qconj,
     vee,
 )
 
@@ -207,12 +206,10 @@ def boundary_triad(target: TargetRotation) -> tuple[np.ndarray, np.ndarray]:
     """Triad boundary values implied by the target: rows are E_i components.
 
     The initial triad is static; the final one is the static triad
-    conjugated by the target, E_i(tau) = conj(u_T) e_i u_T.  Both signs of
-    u_T give the same result.
+    conjugated by the target, E_i(tau) = conj(u_T) e_i u_T, row i of the
+    rotation matrix of u_T.  Both signs of u_T give the same result.
     """
-    u = qconj(target.u_T)
-    final = np.swapaxes(quat_to_matrix(np.array([u.wxyz()])), 1, 2)[0]
-    return np.eye(3), final
+    return np.eye(3), quat_to_matrix(np.array([target.u_T.wxyz()]))[0]
 
 
 def drift_for_target(target: TargetRotation, tau: float) -> PureQuat:

@@ -120,14 +120,9 @@ def _spin_lift(theta, spin: SpinNumber):
     The +-j terms pair into cosines, so the value is exactly real: one
     cosine sum over j > 0 (plus the j = 0 term for integer s).
     """
-    two_s = spin.two_s
-    if two_s % 2 == 0:
-        js = np.arange(1, two_s // 2 + 1)
-        total = 1.0 + 2.0 * np.sum(np.cos(np.multiply.outer(js, theta)), axis=0)
-    else:
-        js = 0.5 + np.arange((two_s + 1) // 2)
-        total = 2.0 * np.sum(np.cos(np.multiply.outer(js, theta)), axis=0)
-    return total / spin.multiplicity
+    js = spin.j_values()
+    pairs = 2.0 * np.sum(np.cos(np.multiply.outer(js[js > 0], theta)), axis=0)
+    return (pairs + 1.0 if spin.two_s % 2 == 0 else pairs) / spin.multiplicity
 
 
 def amplitude_s(spin: SpinNumber, m_tau: float, epsilon) -> float:

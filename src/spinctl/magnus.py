@@ -151,8 +151,8 @@ _START_STEPS = 3
 
 
 def _h_of_y2(y2: float) -> float:
-    """Smooth coefficient h(y) = (1 - (y/2) cot(y/2)) / y^2, h(0) = 1/12."""
-    if y2 < _H_SERIES_CUT2:
+    """Smooth coefficient h(y) = (1 - (y/2) cot(y/2)) / y^2, h(0) = 1/12; the series at an overflowed y^2 = inf."""
+    if y2 < _H_SERIES_CUT2 or y2 == math.inf:
         c0, c1, c2, c3, c4 = _H_SERIES
         return c0 + y2 * (c1 + y2 * (c2 + y2 * (c3 + y2 * c4)))
     y = math.sqrt(y2)
@@ -182,23 +182,27 @@ def _check_cot_guard(y: float, t: float, lane=None):
         )
 
 
-def _interval_midpoints(v: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """Cubic (4-point) interpolation of node samples (axis 0) at interval midpoints.
+def _check_node(mx: float, my: float, mz: float, abs_eps: float, t: float):
+    """``_check_cot_guard`` of ``solve_m_ode``'s m at node t, after refusing an |m|^2 that overflowed."""
+    m2 = mx * mx + my * my + mz * mz
+    if not math.isfinite(m2):
+        raise ValueError(f"|m|^2 overflowed near t = {t:.6g}")
+    _check_cot_guard(abs_eps * math.sqrt(m2), t)
 
-    Returns the midpoints of intervals lo..hi-1, all intervals by default.
+
+def _start_midpoints(v: np.ndarray) -> np.ndarray:
+    """Cubic (4-point) interpolation of node samples (axis 0) at the midpoints of the RK4 start intervals.
+
+    One-sided on interval 0 and on the last of 3 intervals, interior otherwise; linear on 2 intervals.
     """
-    n_int = v.shape[0] - 1
-    hi = n_int if hi is None else hi
-    if n_int < 3:
-        return 0.5 * (v[lo:hi] + v[lo + 1 : hi + 1])
-    mids = np.empty((hi - lo,) + v.shape[1:])
-    a, b = max(lo, 1), min(hi, n_int - 1)  # interior intervals of the chunk
-    if a < b:
-        mids[a - lo : b - lo] = (-v[a - 1 : b - 1] + 9.0 * v[a:b] + 9.0 * v[a + 1 : b + 1] - v[a + 2 : b + 2]) / 16.0
-    if lo == 0:
-        mids[0] = (5.0 * v[0] + 15.0 * v[1] - 5.0 * v[2] + v[3]) / 16.0
-    if hi == n_int:
-        mids[-1] = (v[-4] - 5.0 * v[-3] + 15.0 * v[-2] + 5.0 * v[-1]) / 16.0
+    if len(v) < 4:
+        return 0.5 * (v[:-1] + v[1:])
+    b = min(_START_STEPS, len(v) - 2)  # intervals 1..b-1 are interior
+    mids = np.empty((_START_STEPS,) + v.shape[1:])
+    mids[0] = (5.0 * v[0] + 15.0 * v[1] - 5.0 * v[2] + v[3]) / 16.0
+    mids[1:b] = (-v[: b - 1] + 9.0 * v[1:b] + 9.0 * v[2 : b + 1] - v[3 : b + 2]) / 16.0
+    if b < _START_STEPS:
+        mids[2] = (v[0] - 5.0 * v[1] + 15.0 * v[2] + 5.0 * v[3]) / 16.0
     return mids
 
 
@@ -233,13 +237,13 @@ def solve_m_ode(n: PurePath, epsilon) -> PurePath:
     Adams-Bashforth-Moulton predictor-corrector in PEC mode: one right-hand
     side f per step, at the predicted point and the field at the next node.
     The first ``_START_STEPS`` steps are classic fourth-order Runge-Kutta,
-    with the field at the start, cubic midpoint (``_interval_midpoints``)
+    with the field at the start, cubic midpoint (``_start_midpoints``)
     and end of the step.
 
     Raises
     ------
     ValueError
-        When eps^2 is not finite.
+        When eps^2 is not finite, or at the first node where |m|^2 overflowed.
     SingularCot
         When |eps|*|m| approaches a nonzero multiple of 2*pi, where the
         right-hand side has a cotangent pole and exp((eps/2) m) = -1 makes
@@ -258,7 +262,7 @@ def solve_m_ode(n: PurePath, epsilon) -> PurePath:
     pts = n.values.tolist()
     ts = n.grid.nodes.tolist()
     f = []  # f at the nodes so far, newest first
-    mids = _interval_midpoints(n.values, 0, min(_START_STEPS, n.grid.n_steps)).tolist()
+    mids = _start_midpoints(n.values).tolist()
     for t, (n0x, n0y, n0z), (nmx, nmy, nmz), (n1x, n1y, n1z) in zip(ts[1:], pts, mids, pts[1:]):
         k1 = _m_rhs(n0x, n0y, n0z, mx, my, mz, *coef)
         k2 = _m_rhs(nmx, nmy, nmz, mx + h2 * k1[0], my + h2 * k1[1], mz + h2 * k1[2], *coef)
@@ -267,7 +271,7 @@ def solve_m_ode(n: PurePath, epsilon) -> PurePath:
         mx = mx + h6 * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
         my = my + h6 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
         mz = mz + h6 * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
-        _check_cot_guard(abs(eps) * math.sqrt(mx * mx + my * my + mz * mz), t)
+        _check_node(mx, my, mz, abs(eps), t)
         out.append((mx, my, mz))
         f.insert(0, k1)
     if n.grid.n_steps > _START_STEPS:
@@ -277,7 +281,7 @@ def solve_m_ode(n: PurePath, epsilon) -> PurePath:
         p = [a + h24 * (((55.0 * b0 - 59.0 * b1) + 37.0 * b2) - 9.0 * b3) for a, b0, b1, b2, b3 in zip(m, *f)]
         f = [_m_rhs(*n1, *p, *coef)] + f[:3]  # f at nodes j+1..j-2
         mx, my, mz = (a + h24 * (((9.0 * b0 + 19.0 * b1) - 5.0 * b2) + b3) for a, b0, b1, b2, b3 in zip(m, *f))
-        _check_cot_guard(abs(eps) * math.sqrt(mx * mx + my * my + mz * mz), t)
+        _check_node(mx, my, mz, abs(eps), t)
         out.append((mx, my, mz))
     return PurePath(n.grid, out)
 
@@ -333,8 +337,8 @@ def solve_m_ode_batch(values: np.ndarray, epsilons, grid: TimeGrid) -> np.ndarra
     # for each one costs about 5 % of the call.
     multiply, add, subtract = np.multiply, np.add, np.subtract
     # Every buffer and view is made once.  The field n and point x of a
-    # right-hand side are one pair of rings, so completing both rings,
-    # (n, x) * x and (n, x) * (|x|^2, x.n) are one call each.
+    # right-hand side are one pair of rings, so completing both rings, both
+    # halves of x cross n, (n, x) * x and (n, x) * (|x|^2, x.n) are one call each.
     n_lanes = len(lanes)
     pair = np.zeros((2, 5, n_lanes))
     n, x = pair
@@ -343,11 +347,9 @@ def solve_m_ode_batch(values: np.ndarray, epsilons, grid: TimeGrid) -> np.ndarra
     pair_tail = pair[:, 3:]
     n_and_x = pair[:, :3]
     n_xyz = n[:3]
-    n_yzx = n[1:4]
-    n_zxy = n[2:5]
     x_xyz = x[:3]
-    x_yzx = x[1:4]
-    x_zxy = x[2:5]
+    pair_yzx = pair[:, 1:4]
+    pair_zxy_swapped = pair[::-1, 2:5]  # (x, n) rows against pair_yzx's (n, x)
     prods = np.empty((2, 3, n_lanes))
     n_prod, x_prod = prods
     prod_x, prod_y, prod_z = prods.swapaxes(0, 1)
@@ -367,17 +369,17 @@ def solve_m_ode_batch(values: np.ndarray, epsilons, grid: TimeGrid) -> np.ndarra
         """``_m_rhs`` of every lane into ``out``, at the point in x and the field ``sample`` (3, paths)."""
         n_by_path[...] = sample[:, :, None]
         pair_tail[...] = pair_head
-        multiply(x_yzx, n_zxy, c)
-        subtract(c, multiply(x_zxy, n_yzx, w), c)  # x cross n
+        multiply(pair_yzx, pair_zxy_swapped, prods)  # (n[1:4] x[2:5], x[1:4] n[2:5])
+        subtract(x_prod, n_prod, c)  # x cross n
         multiply(n_and_x, x_xyz, prods)  # (n x, x x), summed to (x.n, |x|^2)
         add(add(prod_x, prod_y, dots), prod_z, dots)
         multiply(eps2, x2, y2)
         add(multiply(y2, c4, h), c3, h)  # _h_of_y2: the series, then the tangent branch past the cut
         for coef in (c2, c1, c0):
             add(multiply(h, y2, h), coef, h)
-        # "not <": a NaN lane must not hide the others; an overflowed lane keeps its series value
+        # "not <": a NaN lane must not hide the others
         if not np.maximum.reduce(y2, None, initial=0.0) < _H_SERIES_CUT2:
-            far = (y2 >= _H_SERIES_CUT2) & (y2 < math.inf)
+            far = y2 >= _H_SERIES_CUT2
             h[far] = [_h_of_y2(v) for v in y2[far].tolist()]
         multiply(h, eps2, h)
         subtract(n_xyz, multiply(c, half_eps, c), c)
@@ -397,7 +399,7 @@ def solve_m_ode_batch(values: np.ndarray, epsilons, grid: TimeGrid) -> np.ndarra
     v = values.transpose(1, 2, 0)  # (n_nodes, 3, paths)
     ts = grid.nodes.tolist()
     start = min(_START_STEPS, grid.n_steps)
-    for j, mid in enumerate(_interval_midpoints(v, 0, start)):  # RK4
+    for j, mid in enumerate(_start_midpoints(v)):  # RK4
         x_xyz[...] = m
         rhs(v[j], f[0])
         add(m, multiply(f[0], h2, w), x_xyz)

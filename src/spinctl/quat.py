@@ -112,16 +112,11 @@ class PureQuat:
 
 
 @dataclass(frozen=True)
-class UnitQuat:
+class UnitQuat(Quat):
     """Modulus-one quaternion representing a rotation."""
 
-    w: float
-    x: float
-    y: float
-    z: float
-
     def __post_init__(self):
-        _check_finite(self.w, self.x, self.y, self.z)
+        super().__post_init__()
         n = math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
         if abs(n - 1.0) > _UNIT_TOL:
             raise ValueError(f"not a unit quaternion: |q| = {n!r}")
@@ -133,9 +128,6 @@ class UnitQuat:
             raise ValueError("cannot normalize a zero or non-finite quaternion")
         return UnitQuat(w / n, x / n, y / n, z / n)
 
-    def wxyz(self) -> tuple[float, float, float, float]:
-        return (self.w, self.x, self.y, self.z)
-
 
 E1 = PureQuat(1.0, 0.0, 0.0)
 E2 = PureQuat(0.0, 1.0, 0.0)
@@ -143,8 +135,8 @@ E3 = PureQuat(0.0, 0.0, 1.0)
 
 
 def _wxyz(q) -> tuple[float, float, float, float]:
-    """Coerce Quat/PureQuat/UnitQuat/real into component form."""
-    if isinstance(q, (Quat, PureQuat, UnitQuat)):
+    """Coerce Quat (UnitQuat included)/PureQuat/real into component form."""
+    if isinstance(q, (Quat, PureQuat)):
         return q.wxyz()
     if isinstance(q, (int, float)):
         return (float(q), 0.0, 0.0, 0.0)

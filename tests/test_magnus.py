@@ -245,6 +245,16 @@ class TestSolveMOde:
         solve_m_ode(rotating_field(grid), 0.5)
         assert len(calls) == (4 * n_steps if n_steps <= 3 else n_steps + 10)
 
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    def test_overflow_refused_at_first_node(self, eps):
+        # A finite field of 1e200 overflows |m|^2 within the first step.  The
+        # lanes return NaN for it; the float path refuses the node, whether
+        # y^2 = eps^2 |m|^2 is NaN (eps = 0) or inf (eps = 1).
+        grid = TimeGrid(1.0, 200)
+        path = random_smooth_path(grid, np.random.default_rng(5), amplitude=0.1)
+        with pytest.raises(ValueError, match=r"\|m\|\^2 overflowed near t = 0\.005$"):
+            solve_m_ode(PurePath(grid, 1e200 * path.values), eps)
+
     def test_cot_pole_refused(self):
         # |m| grows linearly for a constant field; |eps||m| crosses 2*pi for
         # either sign of eps
@@ -379,13 +389,22 @@ class TestSolveMOdeBatch:
         assert np.array_equal(batch[0, 1], m[-1])
         assert not np.isfinite(batch[1]).any()
 
-    @pytest.mark.parametrize("n_steps", [2, 3, 4, 9, 600])
-    def test_chunked_midpoints_match_whole(self, n_steps):
-        v = np.random.default_rng(n_steps).normal(size=(n_steps + 1, 3, 2))
-        whole = magnus._interval_midpoints(v)
-        for lo, hi in [(0, n_steps), (0, 1), (n_steps - 1, n_steps), (1, n_steps - 1)]:
-            if lo < hi:
-                assert np.array_equal(magnus._interval_midpoints(v, lo, hi), whole[lo:hi])
+    @pytest.mark.parametrize("n_steps", [2, 3, 4, 9])
+    def test_start_midpoints_exact_on_their_polynomials(self, n_steps):
+        # The RK4 start intervals' midpoints: the cubic stencils (one-sided on
+        # interval 0 and on the last of 3, interior between) reproduce a cubic
+        # field, and a 2-step grid's linear one a linear field.  Lane layout
+        # (n_nodes, 3, paths).
+        grid = TimeGrid(1.0, n_steps)
+        degree = 1 if n_steps == 2 else 3
+        coeffs = np.random.default_rng(n_steps).normal(size=(degree + 1, 3, 2))
+
+        def field(t):
+            return np.moveaxis(np.polynomial.polynomial.polyval(t, coeffs), -1, 0)
+
+        got = magnus._start_midpoints(field(grid.nodes))
+        assert got.shape == (min(3, n_steps), 3, 2)
+        np.testing.assert_allclose(got, field(grid.centers[:3]), rtol=0.0, atol=1e-14)
 
 
 class TestNOfM:

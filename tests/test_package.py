@@ -140,6 +140,26 @@ class TestNames:
                                  if alias.name.startswith("_") and not alias.name.endswith("__")]
         assert borrowed == []
 
+    def test_every_private_module_name_is_used(self):
+        # A module-level private function, class or constant belongs to its
+        # module; one that no other statement there names is a leftover.
+        unused = []
+        for path in self.MODULES:
+            body = ast.parse(path.read_text()).body
+            named = [{n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)} for stmt in body]
+            for i, stmt in enumerate(body):
+                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                    names = [stmt.name]
+                elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                    names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                else:
+                    continue
+                elsewhere = set().union(*named[:i], *named[i + 1 :])
+                unused += [f"{path.name}:{stmt.lineno} {name}" for name in names
+                           if name.startswith("_") and not name.endswith("__") and name not in elsewhere]
+        assert unused == []
+
     def test_every_error_class_is_used(self):
         # __init__ only re-exports; an error type that no other module names is dead.
         errors = Path(spinctl.__file__).with_name("errors.py").read_text()

@@ -88,6 +88,10 @@ class TestConjugate:
     def test_basis(self):
         assert qconj(E2) == PureQuat(0.0, -1.0, 0.0)
         assert qconj(Quat(1.0, 0.0, 0.0, 0.0)) == Quat(1.0, -0.0, -0.0, -0.0)
+        assert qconj(UnitQuat(0.0, 0.0, 1.0, 0.0)) == UnitQuat(0.0, -0.0, -1.0, -0.0)
+        # the type is kept; a UnitQuat is also a Quat, so its case must come first
+        for q in (E2, Quat(1.0, 2.0, 3.0, 4.0), UnitQuat(0.0, 0.6, 0.0, 0.8)):
+            assert type(qconj(q)) is type(q)
 
     def test_antihomomorphism(self):
         rng = np.random.default_rng(4)
@@ -227,14 +231,24 @@ class TestStructuralInvariants:
         assert PureQuat(1.0, 2.0, 3.0).wxyz()[0] == 0.0
 
     def test_unit_quat_validates_modulus(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a unit quaternion"):
             UnitQuat(1.0, 0.5, 0.0, 0.0)
+        # a UnitQuat passes wherever a Quat does; equality still compares the types
+        u = UnitQuat(1.0, 0.0, 0.0, 0.0)
+        assert isinstance(u, Quat)
+        assert u != Quat(1.0, 0.0, 0.0, 0.0)
+        assert Quat(1.0, 0.0, 0.0, 0.0) != u
+        assert u == UnitQuat.normalized(2.0, 0.0, 0.0, 0.0)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             Quat(math.nan, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             PureQuat(math.inf, 0.0, 0.0)
+        with pytest.raises(ValueError, match="not finite"):
+            UnitQuat(math.nan, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="not finite"):
+            UnitQuat(1.0, 0.0, math.inf, 0.0)
 
 
 class TestArrayHelpers:
